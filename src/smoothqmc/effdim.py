@@ -155,5 +155,8 @@ def dimension_report(integrand: Integrand, d: int, n: int, seed: int,
         diff = ha - np.asarray(integrand(hybrid), dtype=float)
         jansen += float(diff @ diff) / (2.0 * ha.size)
 
+    d_ms = jansen / var
+    if not np.all(np.isfinite([*trunc, first_order, d_ms])):
+        raise NumericalError("effective-dimension statistics are not finite")
     return DimensionReport(d=d, truncation=tuple(trunc), r_order1=first_order,
-                           d_ms=jansen / var, d_t=trunc_dim, total_variance=var)
+                           d_ms=d_ms, d_t=trunc_dim, total_variance=var)

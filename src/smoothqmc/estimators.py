@@ -27,6 +27,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy import special
 
+from .errors import NumericalError
 from .models import (
     HestonSpec,
     ModelSpec,
@@ -99,7 +100,8 @@ def weight_matrix(payoff: PayoffSpec, model: ModelSpec) -> np.ndarray:
 def method_transform(method: str, payoff: PayoffSpec, model: ModelSpec) -> OrthogonalTransform:
     """The orthogonal rotation a method applies to the normal coordinates."""
     d = nominal_dim(model)
-    if method in ("MC", "QMC-I", "sQMC-I"):
+    # at d = 1 the pinned rotation diag(1) is the identity
+    if method in ("MC", "QMC-I", "sQMC-I") or (method == "sQMC-II" and d == 1):
         return identity_transform(d)
     W = weight_matrix(payoff, model)
     if method == "QMC-II":
@@ -150,7 +152,7 @@ def analysis_integrand(method: str, payoff: PayoffSpec,
         disc = payoff.discount
 
         def reduced(v):
-            return disc * (1.0 - problem.lower_bound(np.atleast_2d(np.asarray(v, dtype=float))))
+            return disc * (1.0 - problem.lower_bound(v))
 
         return reduced, d - 1
     return (lambda u: evaluate_smoothed(problem, u)), d
@@ -163,6 +165,7 @@ def run(method: str, payoff: PayoffSpec, model: ModelSpec, n: int, reps: int,
     Replicate k draws its points from the (seed, k) stream, so the result
     is reproducible for fixed inputs and unchanged by threads.  Timing
     excludes one-time setup (weights, rotations, NIG inversion build).
+    Raises NumericalError if any replicate mean is not finite.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
@@ -188,6 +191,9 @@ def run(method: str, payoff: PayoffSpec, model: ModelSpec, n: int, reps: int,
     else:
         means = np.fromiter(map(one, range(reps)), dtype=float, count=reps)
     wall = time.perf_counter() - t0
+    if not np.all(np.isfinite(means)):
+        raise NumericalError(f"{method} {payoff.kind}: non-finite replicate mean "
+                             f"({int(np.count_nonzero(~np.isfinite(means)))} of {reps})")
     return EstimatorReport(method=method, estimate=float(means.mean()),
                            replicate_variance=float(means.var(ddof=1)),
                            vrf=None, wall_time=wall, n=n, reps=reps)

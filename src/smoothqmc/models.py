@@ -27,6 +27,7 @@ __all__ = [
     "HestonSpec",
     "ModelSpec",
     "IncrementLaw",
+    "gaussian_law",
     "bs_increment_law",
     "nig_density",
     "nig_mgf",
@@ -34,8 +35,10 @@ __all__ = [
     "nig_numerical_law",
     "nig_inverse_cdf_build",
     "increment_law_for",
+    "first_shock_law",
     "nominal_dim",
     "paths_exp_levy",
+    "log_increments",
     "paths_heston",
 ]
 
@@ -142,17 +145,21 @@ class IncrementLaw:
     gaussian: bool = False
 
 
-def bs_increment_law(spec: BlackScholesSpec) -> IncrementLaw:
-    """Increment law N(a, b^2) with a = (r - sigma^2/2) dt, b = sigma sqrt(dt)."""
-    a, b = spec.a, spec.b
+def gaussian_law(mean: float, scale: float) -> IncrementLaw:
+    """The normal law N(mean, scale^2)."""
 
     def cdf(x):
-        return special.ndtr((np.asarray(x, dtype=float) - a) / b)
+        return special.ndtr((np.asarray(x, dtype=float) - mean) / scale)
 
     def inv(u):
-        return a + b * special.ndtri(np.asarray(u, dtype=float))
+        return mean + scale * special.ndtri(np.asarray(u, dtype=float))
 
-    return IncrementLaw(cdf=cdf, inv=inv, mean=a, scale=b, gaussian=True)
+    return IncrementLaw(cdf=cdf, inv=inv, mean=mean, scale=scale, gaussian=True)
+
+
+def bs_increment_law(spec: BlackScholesSpec) -> IncrementLaw:
+    """Increment law N(a, b^2) with a = (r - sigma^2/2) dt, b = sigma sqrt(dt)."""
+    return gaussian_law(spec.a, spec.b)
 
 
 def _nig_gamma(alpha: float, beta: float) -> float:
@@ -211,26 +218,41 @@ def esscher_theta(alpha: float, beta: float, mu: float, delta: float, r: float) 
 _GRID_POINTS = 2 ** 17 + 1
 _KNOTS = 2048
 _P_LO, _P_HI = 1e-6, 1.0 - 1e-6
+# The NIG tails decay like exp(-(alpha - |beta|) |x|) whatever delta is;
+# a half-width of _TAIL_DECAYS decay lengths leaves less than 1e-10 of the
+# mass outside the grid (measured for delta from 2e-4 to 0.25 and
+# alpha - |beta| from 0.5 to 75), well inside the 1e-6 mass check.
+_TAIL_DECAYS = 20.0
+
+
+def _domain_half_width(alpha: float, beta: float, delta: float) -> float:
+    """Half-width of the integration grid around mu: 40 delta, widened to
+    _TAIL_DECAYS tail decay lengths when delta is small (fine time grids)."""
+    decay_rate = alpha - abs(beta)
+    if decay_rate <= 0.0:  # no exponential tail; the mass check reports it
+        return 40.0 * delta
+    return max(40.0 * delta, _TAIL_DECAYS / decay_rate)
 
 
 def nig_numerical_law(alpha: float, beta: float, mu: float, delta: float) -> IncrementLaw:
     """One-time numerical construction of cdf/inverse for a NIG law.
 
     The density is integrated by Simpson's rule on a dense grid spanning
-    mu +/- 40 delta; the forward cdf is a cubic Hermite interpolant with
-    exact density slopes, the inverse a monotone cubic over 2048 knots
-    equi-spaced in probability, polished by two Newton steps with the
-    exact density.  Queries outside the knot range fall back to a
-    bracketed Newton search on the dense grid.
+    mu +/- max(40 delta, 20 / (alpha - |beta|)); the forward cdf is a
+    cubic Hermite interpolant with exact density slopes, the inverse a
+    monotone cubic over 2048 knots equi-spaced in probability, polished by
+    two Newton steps with the exact density.  Queries outside the knot
+    range fall back to a bracketed Newton search on the dense grid.
     """
-    x_lo, x_hi = mu - 40.0 * delta, mu + 40.0 * delta
+    half_width = _domain_half_width(alpha, beta, delta)
+    x_lo, x_hi = mu - half_width, mu + half_width
     x_grid = np.linspace(x_lo, x_hi, _GRID_POINTS)
     pdf_grid = nig_density(x_grid, alpha, beta, mu, delta)
     cdf_grid = integrate.cumulative_simpson(pdf_grid, x=x_grid, initial=0.0)
     mass = cdf_grid[-1]
     if abs(mass - 1.0) > 1e-6:
         raise DistributionBuildError(
-            f"tail mass not bracketed on mu +/- 40 delta: integral = {mass:.9f}"
+            f"tail mass not bracketed on mu +/- {half_width:.6g}: integral = {mass:.9f}"
         )
     cdf_grid = cdf_grid / mass
     pdf_norm = pdf_grid / mass
@@ -253,16 +275,21 @@ def nig_numerical_law(alpha: float, beta: float, mu: float, delta: float) -> Inc
         lo_b = x_grid[hi_idx - 1]
         hi_b = x_grid[hi_idx]
         x = 0.5 * (lo_b + hi_b) if start is None else np.clip(start, lo_b, hi_b)
+        moving = np.ones(x.shape, dtype=bool)
         for it in range(60):
             fx = spline(x) - p
-            if it >= 2 and np.abs(fx).max() <= 1e-13:
-                break
+            if it >= 2:
+                # each root stops on its own residual, so its value does not
+                # depend on the other queries in the batch
+                moving = np.abs(fx) > 1e-13
+                if not moving.any():
+                    break
             below = fx < 0.0
             lo_b = np.where(below, x, lo_b)
             hi_b = np.where(below, hi_b, x)
             step = x - fx / np.maximum(pdf(x), 1e-300)
             inside = (step > lo_b) & (step < hi_b)
-            x = np.where(inside, step, 0.5 * (lo_b + hi_b))
+            x = np.where(moving, np.where(inside, step, 0.5 * (lo_b + hi_b)), x)
         return x
 
     knots_p = np.linspace(_P_LO, _P_HI, _KNOTS)
@@ -313,6 +340,18 @@ def increment_law_for(model: ModelSpec) -> IncrementLaw | None:
     raise TypeError(f"unknown model spec {type(model).__name__}")
 
 
+def first_shock_law(model: ModelSpec) -> IncrementLaw:
+    """Law of the first log-shock xi in the factorization S_i = exp(xi) zeta_i.
+
+    For the exponential-Levy models xi is the first increment.  For Heston
+    it is c z_1, c = sqrt((1 - rho^2) v0 dt): the asset-specific shock of
+    the first log-Euler step, the only place z_1 enters the path.
+    """
+    if isinstance(model, HestonSpec):
+        return gaussian_law(0.0, float(np.sqrt((1.0 - model.rho ** 2) * model.v0 * model.dt)))
+    return increment_law_for(model)
+
+
 def nominal_dim(model: ModelSpec) -> int:
     return model.d if isinstance(model, HestonSpec) else model.m
 
@@ -339,11 +378,14 @@ def paths_exp_levy(law: IncrementLaw, s0: float, points,
     """
     z = _as_normal_batch(points)
     y = apply_transform(transform, z)
+    return s0 * np.exp(np.cumsum(log_increments(law, y), axis=1))
+
+
+def log_increments(law: IncrementLaw, y: np.ndarray) -> np.ndarray:
+    """Log-return increments from transformed normal coordinates y."""
     if law.gaussian:
-        x = law.mean + law.scale * y
-    else:
-        x = law.inv(special.ndtr(y))
-    return s0 * np.exp(np.cumsum(x, axis=1))
+        return law.mean + law.scale * y
+    return law.inv(special.ndtr(y))
 
 
 def paths_heston(spec: HestonSpec, points, transform: OrthogonalTransform) -> np.ndarray:

@@ -4,9 +4,15 @@ Three payoffs are built in: the binary Asian option, the pathwise
 Asian-delta estimator, and the down-and-out barrier call.  Each one is
 a smooth factor times an indicator whose payout region, conditional on
 the coordinates u_{2:d}, is an interval (Gamma_1, Gamma_2) in the first
-coordinate.  The gamma_* functions compute those bounds; build_separable
-wires payoff, model, and transform into a SeparableProblem the smoothing
-layer can consume.
+coordinate.
+
+Every supported model factors as S_i = exp(xi(u_1)) zeta_i(u_{2:d}) once
+the transform pins the first coordinate, so the bounds are the first
+log-shock's cdf applied to a function of the conditional path zeta
+(gamma_average, gamma_extreme), and the smooth factor at any u_1 is a
+function of exp(xi(u_1)) and the same zeta.  build_separable wires payoff,
+model, and transform into a SeparableProblem the smoothing layer can
+consume.
 """
 
 from __future__ import annotations
@@ -21,12 +27,13 @@ from .models import (
     HestonSpec,
     IncrementLaw,
     ModelSpec,
+    first_shock_law,
     increment_law_for,
+    log_increments,
     nominal_dim,
-    paths_exp_levy,
     paths_heston,
 )
-from .transforms import OrthogonalTransform, apply_transform
+from .transforms import OrthogonalTransform
 
 __all__ = [
     "PayoffSpec",
@@ -37,6 +44,7 @@ __all__ = [
     "gamma_extreme",
     "heston_gamma_average",
     "heston_gamma_extreme",
+    "conditional_paths",
     "build_separable",
 ]
 
@@ -100,109 +108,52 @@ def payoff_value(spec: PayoffSpec, paths: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# separation bounds for exponential-Levy paths.  All take the conditioning
-# increments x_{2:m} as an (..., m-1) array; the leading axes broadcast.
+# separation bounds.  zeta is the conditional path, an (..., m) array with
+# S_i = exp(xi) zeta_i; law is the law of the first log-shock xi.
 
 
-def gamma_component(j: int, kappa: float, x_rest: np.ndarray,
-                    law: IncrementLaw, s0: float) -> np.ndarray:
-    """Bound for the single-date condition S_j > kappa:
-    gamma_j = phi(log(kappa/s0) - sum_{i=2..j} x_i)."""
-    x_rest = np.asarray(x_rest, dtype=float)
-    tail = x_rest[..., : j - 1].sum(axis=-1) if j > 1 else np.zeros(x_rest.shape[:-1])
-    return law.cdf(np.log(kappa / s0) - tail)
-
-
-def gamma_average(kappa: float, x_rest: np.ndarray, law: IncrementLaw,
-                  s0: float, m: int) -> np.ndarray:
+def gamma_average(kappa: float, zeta: np.ndarray, law: IncrementLaw) -> np.ndarray:
     """Bound for the average condition S_A > kappa:
-    gamma = phi(log(kappa m) - log sum_i s0 exp(x_2 + ... + x_i))."""
-    x_rest = np.asarray(x_rest, dtype=float)
-    partial = np.cumsum(x_rest, axis=-1)
-    conditional_sum = s0 * (1.0 + np.exp(partial).sum(axis=-1))
-    return law.cdf(np.log(kappa * m) - np.log(conditional_sum))
+    gamma = F_xi(log(kappa m / sum_i zeta_i))."""
+    zeta = np.asarray(zeta, dtype=float)
+    return law.cdf(np.log(kappa * zeta.shape[-1] / zeta.sum(axis=-1)))
 
 
-def gamma_extreme(kappas: np.ndarray, x_rest: np.ndarray, law: IncrementLaw,
-                  s0: float, direction: str = "min-above") -> np.ndarray:
+def gamma_extreme(kappas: np.ndarray, zeta: np.ndarray, law: IncrementLaw,
+                  direction: str = "min-above") -> np.ndarray:
     """Bound for extreme conditions over per-step levels kappa_j.
 
-    min-above: {S_j > kappa_j for all j} <=> u_1 > max_j gamma_j, returns
-    that max.  max-below: {S_j < kappa_j for all j} <=> u_1 < min_j
-    gamma_j, returns the min.
+    min-above: {S_j > kappa_j for all j} <=> u_1 > max_j F_xi(log(kappa_j /
+    zeta_j)), returns that max.  max-below: {S_j < kappa_j for all j} <=>
+    u_1 < min_j of the same, returns the min.
     """
     if direction not in ("min-above", "max-below"):
         raise ValueError(f"unknown direction {direction!r}")
-    kappas = np.asarray(kappas, dtype=float)
-    x_rest = np.asarray(x_rest, dtype=float)
-    offsets = np.zeros(x_rest.shape[:-1] + (kappas.size,))
-    offsets[..., 1:] = np.cumsum(x_rest, axis=-1)
-    g = law.cdf(np.log(kappas / s0) - offsets)
+    g = law.cdf(np.log(np.asarray(kappas, dtype=float) / np.asarray(zeta, dtype=float)))
     return g.max(axis=-1) if direction == "min-above" else g.min(axis=-1)
 
 
-# ---------------------------------------------------------------------------
-# Heston bounds via the first-shock factorization S_i = exp(c z_1) zeta_i
-
-
-def _heston_zeta(u_rest: np.ndarray, spec: HestonSpec,
-                 transform: OrthogonalTransform) -> np.ndarray:
-    _require_pinned(transform)
-    u_rest = np.atleast_2d(np.asarray(u_rest, dtype=float))
-    z = np.zeros((u_rest.shape[0], spec.d))
-    z[:, 1:] = special.ndtri(u_rest)
-    return paths_heston(spec, z, transform)
-
-
-def _heston_c(spec: HestonSpec) -> float:
-    return float(np.sqrt((1.0 - spec.rho ** 2) * spec.v0 * spec.dt))
+def gamma_component(j: int, kappa: float, zeta: np.ndarray, law: IncrementLaw) -> np.ndarray:
+    """Bound for the single-date condition S_j > kappa: F_xi(log(kappa / zeta_j))."""
+    return law.cdf(np.log(kappa / np.asarray(zeta, dtype=float)[..., j - 1]))
 
 
 def heston_gamma_average(kappa: float, u_rest: np.ndarray, spec: HestonSpec,
                          transform: OrthogonalTransform) -> np.ndarray:
     """Heston bound for S_A > kappa on the conditioning coordinates u_{2:d}."""
-    zeta = _heston_zeta(u_rest, spec, transform)
-    c = _heston_c(spec)
-    return special.ndtr((np.log(kappa * spec.m) - np.log(zeta.sum(axis=-1))) / c)
+    return gamma_average(kappa, conditional_paths(spec, transform)(u_rest), first_shock_law(spec))
 
 
 def heston_gamma_extreme(kappas: np.ndarray, u_rest: np.ndarray, spec: HestonSpec,
                          transform: OrthogonalTransform,
                          direction: str = "min-above") -> np.ndarray:
-    """Heston analogue of gamma_extreme: all S_j share one z_1 factor
-    exp(c z_1), so the joint condition is again an interval in u_1."""
-    if direction not in ("min-above", "max-below"):
-        raise ValueError(f"unknown direction {direction!r}")
-    zeta = _heston_zeta(u_rest, spec, transform)
-    g = special.ndtr(np.log(np.asarray(kappas, dtype=float)[None, :] / zeta) / _heston_c(spec))
-    return g.max(axis=-1) if direction == "min-above" else g.min(axis=-1)
+    """Heston bound for the extreme conditions of gamma_extreme on u_{2:d}."""
+    return gamma_extreme(kappas, conditional_paths(spec, transform)(u_rest),
+                         first_shock_law(spec), direction)
 
 
 # ---------------------------------------------------------------------------
 # wiring
-
-
-@dataclass(frozen=True, eq=False)
-class SeparableProblem:
-    """A payoff in variable-separated form.
-
-    smooth_factor maps the full (N, d) uniform batch to discounted payoff
-    factors; lower_bound/upper_bound map the conditioning block u_{2:d}
-    to the payout interval endpoints.  interval orientation means the
-    payout region is {Gamma_1 < u_1 < Gamma_2}; complement means its
-    complement.
-    """
-
-    smooth_factor: Callable[[np.ndarray], np.ndarray]
-    lower_bound: Callable[[np.ndarray], np.ndarray]
-    upper_bound: Callable[[np.ndarray], np.ndarray]
-    orientation: str
-    d: int
-    payoff: PayoffSpec | None = None
-
-    def __post_init__(self):
-        if self.orientation not in ("interval", "complement"):
-            raise ValueError(f"unknown orientation {self.orientation!r}")
 
 
 def _require_pinned(transform: OrthogonalTransform) -> None:
@@ -212,63 +163,109 @@ def _require_pinned(transform: OrthogonalTransform) -> None:
                          "the full-qr transform does not pin the first coordinate")
 
 
+def conditional_paths(model: ModelSpec,
+                      transform: OrthogonalTransform) -> Callable[[np.ndarray], np.ndarray]:
+    """The map u_{2:d} -> zeta, the (N, m) path at a zero first log-shock.
+
+    With the first coordinate pinned, S_i = exp(xi(u_1)) zeta_i(u_{2:d}):
+    for exponential-Levy paths zeta_i = s0 exp(x_2 + ... + x_i), for Heston
+    zeta is the log-Euler path at z_1 = 0.
+    """
+    _require_pinned(transform)
+    if isinstance(model, HestonSpec):
+        def zeta(v):
+            v = np.atleast_2d(np.asarray(v, dtype=float))
+            z = np.zeros((v.shape[0], model.d))
+            z[:, 1:] = special.ndtri(v)
+            return paths_heston(model, z, transform)
+        return zeta
+
+    law = increment_law_for(model)
+    rotation = transform.U[1:, 1:].T if transform.kind == "mqr" else None
+
+    def zeta(v):
+        y = special.ndtri(np.atleast_2d(np.asarray(v, dtype=float)))
+        if rotation is not None:
+            y = y @ rotation
+        log_zeta = np.zeros((y.shape[0], model.m))
+        np.cumsum(log_increments(law, y), axis=1, out=log_zeta[:, 1:])
+        return model.s0 * np.exp(log_zeta)
+    return zeta
+
+
+@dataclass(frozen=True, eq=False)
+class SeparableProblem:
+    """A payoff in variable-separated form, f(u) 1{payout region in u_1}.
+
+    conditional maps the conditioning block u_{2:d} to a state (the
+    conditional path zeta for built problems); lower/upper map that state
+    to the payout interval endpoints, and factor maps (u_1, state) to the
+    discounted smooth factor.  An evaluation builds the state once and
+    passes it on, so the problem itself holds no per-call data.  interval
+    orientation means the payout region is {Gamma_1 < u_1 < Gamma_2};
+    complement means its complement.
+    """
+
+    conditional: Callable[[np.ndarray], np.ndarray]
+    lower: Callable[[np.ndarray], np.ndarray]
+    upper: Callable[[np.ndarray], np.ndarray]
+    factor: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    orientation: str
+    d: int
+    payoff: PayoffSpec | None = None
+
+    def __post_init__(self):
+        if self.orientation not in ("interval", "complement"):
+            raise ValueError(f"unknown orientation {self.orientation!r}")
+
+    def lower_bound(self, v: np.ndarray) -> np.ndarray:
+        """Gamma_1 on the conditioning coordinates u_{2:d}."""
+        return self.lower(self.conditional(v))
+
+    def upper_bound(self, v: np.ndarray) -> np.ndarray:
+        """Gamma_2 on the conditioning coordinates u_{2:d}."""
+        return self.upper(self.conditional(v))
+
+    def smooth_factor(self, u: np.ndarray) -> np.ndarray:
+        """Smooth factor on a full (N, d) uniform batch."""
+        u = np.atleast_2d(np.asarray(u, dtype=float))
+        return self.factor(u[:, 0], self.conditional(u[:, 1:]))
+
+
 def build_separable(payoff: PayoffSpec, model: ModelSpec,
                     transform: OrthogonalTransform) -> SeparableProblem:
-    """Assemble (f, Gamma_1, Gamma_2) for a payoff/model/transform triple."""
-    _require_pinned(transform)
+    """Assemble (zeta, Gamma_1, Gamma_2, f) for a payoff/model/transform triple."""
+    conditional = conditional_paths(model, transform)
     d = nominal_dim(model)
     if transform.d != d:
         raise ValueError(f"transform dimension {transform.d} does not match model dimension {d}")
-    heston = isinstance(model, HestonSpec)
-    law = increment_law_for(model)
-    m = model.m
+    law = first_shock_law(model)
+    disc = payoff.discount
 
-    if heston:
-        def paths_of(u):
-            return paths_heston(model, special.ndtri(u), transform)
-    else:
-        def paths_of(u):
-            return paths_exp_levy(law, model.s0, special.ndtri(u), transform)
-
-        sub = transform.U[1:, 1:] if transform.kind == "mqr" else None
-
-        def x_rest_of(v):
-            z = special.ndtri(v)
-            y = z if sub is None else z @ sub.T
-            if law.gaussian:
-                return law.mean + law.scale * y
-            return law.inv(special.ndtr(y))
+    def growth(u1):
+        return np.exp(law.inv(u1))
 
     if payoff.kind == "barrier-down-out":
-        levels = payoff.barrier_levels(m)
-        if heston:
-            def lower(v):
-                return heston_gamma_extreme(levels, v, model, transform)
-        else:
-            def lower(v):
-                return gamma_extreme(levels, x_rest_of(v), law, model.s0)
+        levels = payoff.barrier_levels(model.m)
 
-        def factor(u):
-            return payoff.discount * (paths_of(u)[:, -1] - payoff.strike)
+        def lower(zeta):
+            return gamma_extreme(levels, zeta, law)
+
+        def factor(u1, zeta):
+            return disc * (growth(u1) * zeta[:, -1] - payoff.strike)
     else:
-        if heston:
-            def lower(v):
-                return heston_gamma_average(payoff.strike, v, model, transform)
-        else:
-            def lower(v):
-                return gamma_average(payoff.strike, x_rest_of(v), law, model.s0, m)
+        def lower(zeta):
+            return gamma_average(payoff.strike, zeta, law)
 
         if payoff.kind == "binary-asian":
-            def factor(u):
-                return np.full(np.atleast_2d(u).shape[0], payoff.discount)
+            def factor(u1, zeta):
+                return np.full(zeta.shape[0], disc)
         else:
-            def factor(u):
-                return payoff.discount * paths_of(u).mean(axis=1) / payoff.s0
+            def factor(u1, zeta):
+                return disc * growth(u1) * zeta.mean(axis=1) / payoff.s0
 
-    def upper(v):
-        v = np.atleast_2d(v)
-        return np.ones(v.shape[0])
+    def upper(zeta):
+        return np.ones(zeta.shape[0])
 
-    return SeparableProblem(smooth_factor=factor, lower_bound=lower,
-                            upper_bound=upper, orientation="interval",
-                            d=d, payoff=payoff)
+    return SeparableProblem(conditional=conditional, lower=lower, upper=upper, factor=factor,
+                            orientation="interval", d=d, payoff=payoff)

@@ -43,46 +43,36 @@ def vpo_map(u1: np.ndarray, g1: np.ndarray, g2: np.ndarray):
     return np.clip(pushed, EPS, 1.0 - EPS), weight
 
 
-def _pushed_batch(problem: SeparableProblem, u: np.ndarray):
-    u = np.atleast_2d(np.asarray(u, dtype=float))
+def _conditioned(problem: SeparableProblem, u):
+    """Split a uniform batch into u_1 and the conditional state of u_{2:d},
+    with the payout interval bounds the state gives."""
+    u = np.atleast_2d(np.asarray(getattr(u, "values", u), dtype=float))
     if u.shape[1] != problem.d:
         raise ValueError(f"expected {problem.d} coordinates, got {u.shape[1]}")
-    rest = u[:, 1:]
-    g1 = problem.lower_bound(rest)
-    g2 = problem.upper_bound(rest)
-    pushed_u1, weight = vpo_map(u[:, 0], g1, g2)
-    pushed = u.copy()
-    pushed[:, 0] = pushed_u1
-    return u, pushed, weight, g1, g2
+    state = problem.conditional(u[:, 1:])
+    return u[:, 0], state, problem.lower(state), problem.upper(state)
 
 
 def evaluate_smoothed(problem: SeparableProblem, u: np.ndarray) -> np.ndarray:
     """Smoothed integrand values at the uniform points u of shape (N, d)."""
-    u = getattr(u, "values", u)
-    u, pushed, weight, _, _ = _pushed_batch(problem, u)
-    inner = weight * problem.smooth_factor(pushed)
+    u1, state, g1, g2 = _conditioned(problem, u)
+    pushed, weight = vpo_map(u1, g1, g2)
+    inner = weight * problem.factor(pushed, state)
     if problem.orientation == "interval":
         return inner
-    return problem.smooth_factor(u) - inner
+    return problem.factor(u1, state) - inner
+
+
+def _indicator(problem: SeparableProblem, u1, g1, g2) -> np.ndarray:
+    inside = (u1 > g1) & (u1 < g2)
+    return ~inside if problem.orientation == "complement" else inside
 
 
 def evaluate_indicator(problem: SeparableProblem, u: np.ndarray) -> np.ndarray:
     """Raw (unsmoothed) integrand through the separated form, for
     equivalence checks against the direct path-payoff route."""
-    u = getattr(u, "values", u)
-    u = np.atleast_2d(np.asarray(u, dtype=float))
-    if u.shape[1] != problem.d:
-        raise ValueError(f"expected {problem.d} coordinates, got {u.shape[1]}")
-    rest = u[:, 1:]
-    g1 = problem.lower_bound(rest)
-    g2 = problem.upper_bound(rest)
-    inside = (u[:, 0] > g1) & (u[:, 0] < g2)
-    if problem.orientation == "complement":
-        inside = ~inside
-    out = np.zeros(u.shape[0])
-    if inside.any():
-        out[inside] = problem.smooth_factor(u[inside])
-    return out
+    u1, state, g1, g2 = _conditioned(problem, u)
+    return np.where(_indicator(problem, u1, g1, g2), problem.factor(u1, state), 0.0)
 
 
 @dataclass(frozen=True)
@@ -107,16 +97,12 @@ def variance_bound_check(problem: SeparableProblem, n: int, seed: int) -> Varian
     """Monte Carlo check of Var(h~) <= c * Var(h) with c = sup(G2 - G1),
     allowing three-standard-error slack on both variance estimates."""
     u = pseudo_uniform(n, problem.d, ScrambleSeed(seed)).values
-    u, pushed, weight, g1, g2 = _pushed_batch(problem, u)
-    factor_pushed = problem.smooth_factor(pushed)
-    smoothed = weight * factor_pushed
-    inside = (u[:, 0] > g1) & (u[:, 0] < g2)
-    raw = np.zeros(n)
-    if inside.any():
-        raw[inside] = problem.smooth_factor(u[inside])
+    u1, state, g1, g2 = _conditioned(problem, u)
+    pushed, weight = vpo_map(u1, g1, g2)
+    full = problem.factor(u1, state)
+    raw = np.where(_indicator(problem, u1, g1, g2), full, 0.0)
+    smoothed = weight * problem.factor(pushed, state)
     if problem.orientation == "complement":
-        full = problem.smooth_factor(u)
-        raw = full - raw
         smoothed = full - smoothed
     var_raw = float(np.var(raw, ddof=1))
     var_smoothed = float(np.var(smoothed, ddof=1))

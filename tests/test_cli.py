@@ -311,6 +311,21 @@ def test_exit_code_for_missing_config(tmp_path, capsys):
     assert "cannot read config" in err
 
 
+def test_exit_code_for_non_finite_estimate(tmp_path, capsys):
+    # valid but extreme inputs: discount exp(-800) underflows, paths overflow
+    path = _write(tmp_path, """
+model: {kind: black-scholes, m: 16, r: 40.0, T: 20.0}
+payoff: {kind: asian-delta, strike: 100.0}
+methods: [MC]
+n: 64
+reps: 3
+""")
+    code, out, err = _run(capsys, ["price", "--config", path])
+    assert code == 3
+    assert "nan" not in out
+    assert "numerical failure:" in err
+
+
 def test_threads_and_seed_validation(tmp_path, capsys):
     path = _write(tmp_path, FAST_BS)
     code, _, _ = _run(capsys, ["price", "--config", path, "--threads", "0"])

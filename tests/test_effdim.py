@@ -143,3 +143,19 @@ def test_report_deterministic_in_seed():
     assert r1.d_ms == r2.d_ms
     r3 = dimension_report(h, 2, 2 ** 10, seed=12)
     assert r1.truncation != r3.truncation
+
+
+def test_non_finite_statistics_raise():
+    # finite on the base block, so the variance check passes; a non-finite
+    # hybrid evaluation must not come back as a nan statistic
+    calls = []
+
+    def flaky(u):
+        calls.append(len(u))
+        out = np.atleast_2d(u)[:, 0].copy()
+        if len(calls) > 1:
+            out[0] = np.nan
+        return out
+
+    with pytest.raises(NumericalError):
+        dimension_report(flaky, 3, 256, seed=10)

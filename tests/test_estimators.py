@@ -14,7 +14,8 @@ from smoothqmc.estimators import (
     vrf_table,
     weight_matrix,
 )
-from smoothqmc.models import BlackScholesSpec
+from smoothqmc.errors import NumericalError
+from smoothqmc.models import BlackScholesSpec, HestonSpec, NigSpec
 from smoothqmc.payoffs import PayoffSpec
 
 BS = BlackScholesSpec(s0=100.0, r=0.04, sigma=0.3, T=1.0, m=16)
@@ -69,6 +70,40 @@ def test_run_is_thread_count_invariant():
     b = run("QMC-I", BINARY, BS, n=256, reps=6, seed=7, threads=4)
     assert a.estimate == b.estimate
     assert a.replicate_variance == b.replicate_variance
+
+
+@pytest.mark.parametrize("model, payoff_kind", [
+    (NigSpec(s0=100.0, alpha=105.96, beta=-26.15, mu=1.2528, delta=4.032, r=0.04, T=1.0, m=16),
+     "binary-asian"),
+    (HestonSpec(s0=100.0, v0=0.2, r=0.04, theta_bar=0.2, nu=1.0, sigma_v=0.2, rho=-0.5, m=16),
+     "barrier-down-out"),
+], ids=["nig16-binary", "hes16-neg-barrier"])
+def test_smoothed_run_is_thread_count_invariant(model, payoff_kind):
+    # the conditional path is built per call, so replicates that share one
+    # separable problem across threads cannot see each other's state
+    payoff = PayoffSpec.for_model(payoff_kind, model, 100.0, 90.0)
+    a = run("sQMC-II", payoff, model, n=256, reps=6, seed=7, threads=1)
+    b = run("sQMC-II", payoff, model, n=256, reps=6, seed=7, threads=2)
+    assert a.estimate == b.estimate
+    assert a.replicate_variance == b.replicate_variance
+
+
+def test_single_step_pinned_rotation_is_the_identity():
+    one = BlackScholesSpec(s0=100.0, r=0.04, sigma=0.3, T=1.0, m=1)
+    payoff = PayoffSpec.for_model("asian-delta", one, 100.0)
+    assert method_transform("sQMC-II", payoff, one).kind == "identity"
+    pinned = run("sQMC-II", payoff, one, n=256, reps=4, seed=3)
+    plain = run("sQMC-I", payoff, one, n=256, reps=4, seed=3)
+    assert pinned.estimate == plain.estimate
+    assert pinned.replicate_variance == plain.replicate_variance
+
+
+def test_non_finite_replicate_mean_raises():
+    # discount exp(-800) underflows to 0 while the paths overflow to inf
+    extreme = BlackScholesSpec(s0=100.0, r=40.0, sigma=0.3, T=20.0, m=16)
+    payoff = PayoffSpec.for_model("asian-delta", extreme, 100.0)
+    with pytest.raises(NumericalError):
+        run("MC", payoff, extreme, n=64, reps=3, seed=1)
 
 
 def test_methods_agree_on_the_price():

@@ -20,6 +20,7 @@ from smoothqmc.models import (
     paths_exp_levy,
     paths_heston,
 )
+from smoothqmc.models import _domain_half_width
 from smoothqmc.points import ScrambleSeed, pseudo_uniform
 from smoothqmc.transforms import identity_transform, mqr_transform, taylor_weight
 
@@ -134,6 +135,31 @@ def test_nig_inverse_round_trip():
     u = np.clip(u, 1e-6, 1 - 1e-6)
     err = np.max(np.abs(law.cdf(law.inv(u)) - u))
     assert err <= 1e-8
+
+
+def test_nig_inverse_is_pointwise():
+    # the bracketed fallback for tail queries must not couple the values
+    # of one batch: inverting a batch equals inverting each value alone
+    law = nig_inverse_cdf_build(NIG)
+    u = np.concatenate([np.geomspace(2.0 ** -32, 1e-5, 200), np.linspace(1e-5, 1 - 1e-5, 201),
+                        1.0 - np.geomspace(1e-5, 2.0 ** -32, 200)])
+    single = np.array([law.inv(u[i:i + 1])[0] for i in range(u.size)])
+    np.testing.assert_array_equal(law.inv(u), single)
+
+
+def test_nig_law_builds_at_fine_time_grids():
+    # per-step tails decay like exp(-(alpha - |beta|)|x|) however small
+    # delta dt gets, so mu +/- 40 delta dt alone loses mass at m = 2000
+    fine = NigSpec(s0=100.0, alpha=105.96, beta=-26.15, mu=1.2528, delta=4.032,
+                   r=0.04, T=1.0, m=2000)
+    law = increment_law_for(fine)
+    u = np.linspace(1e-6, 1 - 1e-6, 10_001)
+    assert np.max(np.abs(law.cdf(law.inv(u)) - u)) <= 1e-8
+
+
+def test_nig16_domain_stays_forty_step_deltas():
+    step_delta = NIG.delta * NIG.dt
+    assert _domain_half_width(NIG.alpha, NIG.beta + NIG.theta, step_delta) == 40.0 * step_delta
 
 
 def test_nig_inverse_symmetric_median():

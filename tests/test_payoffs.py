@@ -9,6 +9,7 @@ from smoothqmc.models import (
     HestonSpec,
     NigSpec,
     bs_increment_law,
+    first_shock_law,
     increment_law_for,
     paths_exp_levy,
     paths_heston,
@@ -16,6 +17,7 @@ from smoothqmc.models import (
 from smoothqmc.payoffs import (
     PayoffSpec,
     build_separable,
+    conditional_paths,
     gamma_average,
     gamma_component,
     gamma_extreme,
@@ -32,6 +34,16 @@ SYM4 = BlackScholesSpec(s0=100.0, r=0.045, sigma=0.3, T=1.0, m=4)  # a = 0
 
 def _bs_x_rest(u_rest, law):
     return law.mean + law.scale * special.ndtri(u_rest)
+
+
+def _zeta(x_rest, s0):
+    """Conditional path zeta_i = s0 exp(x_2 + ... + x_i), zeta_1 = s0."""
+    return s0 * np.exp(np.concatenate([np.zeros((x_rest.shape[0], 1)),
+                                       np.cumsum(x_rest, axis=1)], axis=1))
+
+
+def _bs_zeta(u_rest, law, s0):
+    return _zeta(_bs_x_rest(u_rest, law), s0)
 
 
 # ---------------------------------------------------------------------------
@@ -89,10 +101,11 @@ def test_barrier_levels_fold_strike():
 
 def test_gamma_component_trivials():
     law = bs_increment_law(SYM4)
-    assert gamma_component(1, SYM4.s0, np.zeros((1, 3)), law, SYM4.s0)[0] == pytest.approx(0.5, abs=1e-14)
-    assert gamma_component(1, 1e-12, np.zeros((1, 3)), law, SYM4.s0)[0] <= 1e-12
+    flat = np.full((1, 4), SYM4.s0)
+    assert gamma_component(1, SYM4.s0, flat, law)[0] == pytest.approx(0.5, abs=1e-14)
+    assert gamma_component(1, 1e-12, flat, law)[0] <= 1e-12
     # conditioning shifts the bound: positive past increments lower it
-    up = gamma_component(3, SYM4.s0, np.array([[0.2, 0.2, 0.0]]), law, SYM4.s0)[0]
+    up = gamma_component(3, SYM4.s0, _zeta(np.array([[0.2, 0.2, 0.0]]), SYM4.s0), law)[0]
     assert up < 0.5
 
 
@@ -105,7 +118,7 @@ def test_gamma_component_matches_marginal_probability():
     S = paths_exp_levy(law, BS4.s0, u, identity_transform(4))
     ind = (S[:, 2] > kappa).astype(float)
     v = pseudo_uniform(n, 3, ScrambleSeed(5, 1)).values
-    g = 1.0 - gamma_component(3, kappa, _bs_x_rest(v, law), law, BS4.s0)
+    g = 1.0 - gamma_component(3, kappa, _bs_zeta(v, law, BS4.s0), law)
     se = np.hypot(ind.std(ddof=1), g.std(ddof=1)) / np.sqrt(n)
     assert abs(ind.mean() - g.mean()) <= 3 * se
     # conditioning integrates out u_1, so the bound route has less variance
@@ -114,15 +127,14 @@ def test_gamma_component_matches_marginal_probability():
 
 def test_gamma_average_single_step_reduces_to_component():
     law = bs_increment_law(BlackScholesSpec(s0=100.0, r=0.04, sigma=0.3, T=1.0, m=1))
-    empty = np.zeros((5, 0))
-    np.testing.assert_allclose(
-        gamma_average(95.0, empty, law, 100.0, 1),
-        gamma_component(1, 95.0, empty, law, 100.0), atol=1e-14)
+    zeta = np.full((5, 1), 100.0)
+    np.testing.assert_allclose(gamma_average(95.0, zeta, law),
+                               gamma_component(1, 95.0, zeta, law), atol=1e-14)
 
 
 def test_gamma_average_flat_conditioning():
     law = bs_increment_law(SYM4)
-    g = gamma_average(SYM4.s0, np.zeros((1, 3)), law, SYM4.s0, 4)[0]
+    g = gamma_average(SYM4.s0, np.full((1, 4), SYM4.s0), law)[0]
     assert g == pytest.approx(0.5, abs=1e-14)
 
 
@@ -133,7 +145,7 @@ def test_gamma_average_matches_average_probability():
     S = paths_exp_levy(law, BS4.s0, u, identity_transform(4))
     ind = (S.mean(axis=1) > kappa).astype(float)
     v = pseudo_uniform(n, 3, ScrambleSeed(6, 1)).values
-    g = 1.0 - gamma_average(kappa, _bs_x_rest(v, law), law, BS4.s0, 4)
+    g = 1.0 - gamma_average(kappa, _bs_zeta(v, law, BS4.s0), law)
     se = np.hypot(ind.std(ddof=1), g.std(ddof=1)) / np.sqrt(n)
     assert abs(ind.mean() - g.mean()) <= 3 * se
 
@@ -141,32 +153,31 @@ def test_gamma_average_matches_average_probability():
 def test_gamma_average_monotone_in_strike():
     law = bs_increment_law(BS4)
     v = pseudo_uniform(64, 3, ScrambleSeed(7, 0)).values
-    x = _bs_x_rest(v, law)
-    lo = gamma_average(90.0, x, law, BS4.s0, 4)
-    hi = gamma_average(110.0, x, law, BS4.s0, 4)
+    zeta = _bs_zeta(v, law, BS4.s0)
+    lo = gamma_average(90.0, zeta, law)
+    hi = gamma_average(110.0, zeta, law)
     assert np.all(hi > lo)
 
 
 def test_gamma_extreme_single_level_reduces_to_component():
     law = bs_increment_law(BS4)
-    empty = np.zeros((5, 0))
-    np.testing.assert_allclose(
-        gamma_extreme(np.array([97.0]), empty, law, 100.0),
-        gamma_component(1, 97.0, empty, law, 100.0), atol=1e-14)
+    zeta = np.full((5, 1), 100.0)
+    np.testing.assert_allclose(gamma_extreme(np.array([97.0]), zeta, law),
+                               gamma_component(1, 97.0, zeta, law), atol=1e-14)
 
 
 def test_gamma_extreme_limits_and_direction():
     law = bs_increment_law(BS4)
     v = pseudo_uniform(32, 3, ScrambleSeed(8, 0)).values
-    x = _bs_x_rest(v, law)
-    tiny = gamma_extreme(np.full(4, 1e-8), x, law, BS4.s0)
+    zeta = _bs_zeta(v, law, BS4.s0)
+    tiny = gamma_extreme(np.full(4, 1e-8), zeta, law)
     assert np.all(tiny <= 1e-12)
     levels = np.array([90.0, 90.0, 90.0, 100.0])
-    lo = gamma_extreme(levels, x, law, BS4.s0, direction="min-above")
-    hi = gamma_extreme(levels, x, law, BS4.s0, direction="max-below")
+    lo = gamma_extreme(levels, zeta, law, direction="min-above")
+    hi = gamma_extreme(levels, zeta, law, direction="max-below")
     assert np.all(lo >= hi)  # max of the per-step bounds vs their min
     with pytest.raises(ValueError):
-        gamma_extreme(levels, x, law, BS4.s0, direction="sideways")
+        gamma_extreme(levels, zeta, law, direction="sideways")
 
 
 def test_gamma_extreme_matches_survival_probability():
@@ -177,7 +188,7 @@ def test_gamma_extreme_matches_survival_probability():
     S = paths_exp_levy(law, BS4.s0, u, identity_transform(4))
     ind = np.all(S > levels[None, :], axis=1).astype(float)
     v = pseudo_uniform(n, 3, ScrambleSeed(9, 1)).values
-    g = 1.0 - gamma_extreme(levels, _bs_x_rest(v, law), law, BS4.s0)
+    g = 1.0 - gamma_extreme(levels, _bs_zeta(v, law, BS4.s0), law)
     se = np.hypot(ind.std(ddof=1), g.std(ddof=1)) / np.sqrt(n)
     assert abs(ind.mean() - g.mean()) <= 3 * se
 
@@ -185,10 +196,10 @@ def test_gamma_extreme_matches_survival_probability():
 def test_gamma_bounds_stay_in_unit_interval():
     law = bs_increment_law(BS4)
     v = pseudo_uniform(256, 3, ScrambleSeed(10, 0)).values
-    x = _bs_x_rest(v, law)
-    for g in (gamma_average(100.0, x, law, BS4.s0, 4),
-              gamma_extreme(np.array([90.0, 90, 90, 100.0]), x, law, BS4.s0),
-              gamma_component(2, 100.0, x, law, BS4.s0)):
+    zeta = _bs_zeta(v, law, BS4.s0)
+    for g in (gamma_average(100.0, zeta, law),
+              gamma_extreme(np.array([90.0, 90, 90, 100.0]), zeta, law),
+              gamma_component(2, 100.0, zeta, law)):
         assert np.all((g >= 0.0) & (g <= 1.0))
 
 
@@ -196,29 +207,55 @@ def test_gamma_average_is_continuous_in_conditioning():
     law = bs_increment_law(BS4)
     v = pseudo_uniform(16, 3, ScrambleSeed(11, 0)).values
     x = _bs_x_rest(v, law)
-    base = gamma_average(100.0, x, law, BS4.s0, 4)
+    base = gamma_average(100.0, _zeta(x, BS4.s0), law)
     for j in range(3):
         bumped = x.copy()
         bumped[:, j] += 1e-6
-        assert np.max(np.abs(gamma_average(100.0, bumped, law, BS4.s0, 4) - base)) <= 1e-4
+        assert np.max(np.abs(gamma_average(100.0, _zeta(bumped, BS4.s0), law) - base)) <= 1e-4
+
+
+def test_conditional_paths_match_zero_first_increment():
+    # the production zeta map against the hand-built one, with and without
+    # a pinned rotation of the conditioning block
+    law = increment_law_for(BS4)
+    v = pseudo_uniform(64, 3, ScrambleSeed(17, 0)).values
+    got = conditional_paths(BS4, identity_transform(4))(v)
+    np.testing.assert_allclose(got, _bs_zeta(v, law, BS4.s0), rtol=1e-14)
+    W = taylor_weight(lambda z: paths_exp_levy(law, BS4.s0, z, identity_transform(4)),
+                      "barrier", 4)
+    pinned = mqr_transform(W)
+    z = np.zeros((64, 4))
+    z[:, 1:] = special.ndtri(v)
+    S0 = paths_exp_levy(law, BS4.s0, z, pinned)  # first increment x_1 = a
+    np.testing.assert_allclose(conditional_paths(BS4, pinned)(v), S0 / np.exp(law.mean),
+                               rtol=1e-13)
 
 
 # ---------------------------------------------------------------------------
 # Heston bounds
 
 
-def test_heston_gamma_average_hand_loop():
-    hes = HestonSpec(s0=100.0, v0=0.2, r=0.04, theta_bar=0.2, nu=1.0,
-                     sigma_v=0.2, rho=0.5, m=4)
-    u_rest = np.full((1, 7), 0.5)  # all shocks zero -> drift-only zetas
-    got = heston_gamma_average(100.0, u_rest, hes, identity_transform(8))[0]
+def _hand_heston_zeta(hes):
+    # all shocks zero -> drift-only zetas
     v, log_s, zetas = hes.v0, np.log(hes.s0), []
-    for _ in range(4):
+    for _ in range(hes.m):
         log_s += (hes.r - 0.5 * v) * hes.dt
         zetas.append(np.exp(log_s))
         v += hes.nu * (hes.theta_bar - v) * hes.dt
+    return np.array([zetas])
+
+
+def test_heston_gamma_average_hand_loop():
+    hes = HestonSpec(s0=100.0, v0=0.2, r=0.04, theta_bar=0.2, nu=1.0,
+                     sigma_v=0.2, rho=0.5, m=4)
+    zeta = _hand_heston_zeta(hes)
     c = np.sqrt((1 - hes.rho ** 2) * hes.v0 * hes.dt)
-    want = special.ndtr((np.log(100.0 * 4) - np.log(sum(zetas))) / c)
+    want = special.ndtr((np.log(100.0 * 4) - np.log(zeta.sum())) / c)
+    assert gamma_average(100.0, zeta, first_shock_law(hes))[0] == pytest.approx(want, abs=1e-12)
+    u_rest = np.full((1, 7), 0.5)
+    np.testing.assert_allclose(conditional_paths(hes, identity_transform(8))(u_rest), zeta,
+                               rtol=1e-14)
+    got = heston_gamma_average(100.0, u_rest, hes, identity_transform(8))[0]
     assert got == pytest.approx(want, abs=1e-12)
 
 
@@ -232,13 +269,11 @@ def test_heston_gamma_average_degenerate_matches_bs():
     bs = BlackScholesSpec(s0=100.0, r=0.04, sigma=0.3, T=1.0, m=m)
     law = bs_increment_law(bs)
     u_rest = pseudo_uniform(50, 2 * m - 1, ScrambleSeed(12, 0)).values
-    got = heston_gamma_average(100.0, u_rest, hes, identity_transform(2 * m))
+    zeta = conditional_paths(hes, identity_transform(2 * m))(u_rest)
+    got = gamma_average(100.0, zeta, first_shock_law(hes))
     asset = u_rest[:, 1::2][:, : m - 1]  # original coordinates 3, 5, ...
-    x_rest = _bs_x_rest(asset, law)
-    want = gamma_average(100.0, x_rest, law, bs.s0, m)
+    want = gamma_average(100.0, _bs_zeta(asset, law, bs.s0), law)
     assert np.max(np.abs(got - want)) <= 1e-10
-
-
 def test_heston_gamma_average_vanishing_strike():
     hes = HestonSpec(s0=100.0, v0=0.2, r=0.04, theta_bar=0.2, nu=1.0,
                      sigma_v=0.2, rho=0.5, m=4)

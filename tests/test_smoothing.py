@@ -2,8 +2,18 @@
 
 import numpy as np
 import pytest
+from scipy import special
 
-from smoothqmc.models import BlackScholesSpec
+from smoothqmc.estimators import weight_matrix
+from smoothqmc.models import (
+    BlackScholesSpec,
+    HestonSpec,
+    NigSpec,
+    increment_law_for,
+    nominal_dim,
+    paths_exp_levy,
+    paths_heston,
+)
 from smoothqmc.payoffs import PayoffSpec, SeparableProblem, build_separable
 from smoothqmc.points import EPS, ScrambleSeed, pseudo_uniform
 from smoothqmc.smoothing import (
@@ -12,7 +22,7 @@ from smoothqmc.smoothing import (
     variance_bound_check,
     vpo_map,
 )
-from smoothqmc.transforms import identity_transform
+from smoothqmc.transforms import identity_transform, mqr_transform
 
 BS16 = BlackScholesSpec(s0=100.0, r=0.04, sigma=0.3, T=1.0, m=16)
 
@@ -23,11 +33,12 @@ def _problem(kind, strike=100.0, barrier=None, model=BS16):
 
 
 def _constant_problem(g1, g2, orientation="interval", d=3):
-    ones = lambda v: np.ones(np.atleast_2d(v).shape[0])
+    # the conditional state is the conditioning block itself
     return SeparableProblem(
-        smooth_factor=ones,
-        lower_bound=lambda v: np.full(np.atleast_2d(v).shape[0], g1),
-        upper_bound=lambda v: np.full(np.atleast_2d(v).shape[0], g2),
+        conditional=lambda v: np.atleast_2d(v),
+        lower=lambda state: np.full(state.shape[0], g1),
+        upper=lambda state: np.full(state.shape[0], g2),
+        factor=lambda u1, state: np.ones(state.shape[0]),
         orientation=orientation, d=d)
 
 
@@ -185,3 +196,46 @@ def test_variance_bound_barrier():
                                   n=20_000, seed=13)
     assert report.bound_satisfied
     assert report.var_smoothed < report.var_raw
+
+
+# ---------------------------------------------------------------------------
+# the smooth factor reuses the conditional path
+
+
+def _direct_factor(payoff, paths):
+    if payoff.kind == "binary-asian":
+        return np.full(paths.shape[0], payoff.discount)
+    if payoff.kind == "asian-delta":
+        return payoff.discount * paths.mean(axis=1) / payoff.s0
+    return payoff.discount * (paths[:, -1] - payoff.strike)
+
+
+@pytest.mark.parametrize("model", [
+    BS16,
+    NigSpec(s0=100.0, alpha=105.96, beta=-26.15, mu=1.2528, delta=4.032,
+            r=0.04, T=1.0, m=4),
+    HestonSpec(s0=100.0, v0=0.2, r=0.04, theta_bar=0.2, nu=1.0,
+               sigma_v=0.2, rho=0.5, m=4),
+], ids=["bs16", "nig4", "heston4"])
+def test_smoothed_factor_matches_direct_paths_at_pushed_point(model):
+    # exp(xi(u_1~)) zeta against paths rebuilt from scratch at (u_1~, u_2..u_d)
+    d = nominal_dim(model)
+    u = pseudo_uniform(2000, d, ScrambleSeed(17, 0)).values
+    for kind, barrier in (("binary-asian", None), ("asian-delta", None),
+                          ("barrier-down-out", 90.0)):
+        payoff = PayoffSpec.for_model(kind, model, 100.0, barrier)
+        for transform in (identity_transform(d), mqr_transform(weight_matrix(payoff, model))):
+            problem = build_separable(payoff, model, transform)
+            pushed_u1, weight = vpo_map(u[:, 0], problem.lower_bound(u[:, 1:]),
+                                        problem.upper_bound(u[:, 1:]))
+            pushed = u.copy()
+            pushed[:, 0] = pushed_u1
+            if isinstance(model, HestonSpec):
+                paths = paths_heston(model, special.ndtri(pushed), transform)
+            else:
+                paths = paths_exp_levy(increment_law_for(model), model.s0,
+                                       special.ndtri(pushed), transform)
+            want = weight * _direct_factor(payoff, paths)
+            gap = np.max(np.abs(evaluate_smoothed(problem, u) - want))
+            assert gap <= 1e-10, (kind, transform.kind, gap)
+            assert 0.0 < np.mean(weight) < 1.0  # the push-out moves points
