@@ -6,14 +6,7 @@ the payoff's linear part on the first coordinate, and a push-out map
 that removes the payoff discontinuity along that coordinate.
 """
 
-from .effdim import (
-    DimensionReport,
-    dimension_report,
-    first_order_ratio,
-    mean_dimension,
-    truncation_dimension,
-    truncation_ratio,
-)
+from .effdim import DimensionReport, dimension_report
 from .errors import (
     ConfigError,
     DegenerateWeightError,

@@ -23,7 +23,6 @@ import io
 import sys
 from dataclasses import dataclass, field, replace
 
-import numpy as np
 import yaml
 
 from .effdim import dimension_report
@@ -81,6 +80,12 @@ def _as_int(value, name: str) -> int:
     return value
 
 
+def _as_number(value, name: str) -> float:
+    _require(isinstance(value, (int, float)) and not isinstance(value, bool),
+             f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def parse_config(path: str | None) -> ExperimentConfig:
     """Load and validate the experiment configuration."""
     raw = {}
@@ -110,9 +115,7 @@ def parse_config(path: str | None) -> ExperimentConfig:
     bad = set(model_block) - set(params)
     _require(not bad, f"unknown {kind} parameters: {sorted(bad)}")
     for key, value in model_block.items():
-        _require(isinstance(value, (int, float)) and not isinstance(value, bool),
-                 f"model.{key} must be a number, got {value!r}")
-        params[key] = float(value)
+        params[key] = _as_number(value, f"model.{key}")
 
     _require(not ("payoff" in raw and "payoffs" in raw),
              "give either payoff or payoffs, not both")
@@ -128,6 +131,8 @@ def parse_config(path: str | None) -> ExperimentConfig:
         merged.update(block)
         _require(merged["kind"] in PAYOFF_KINDS,
                  f"payoff.kind must be one of {PAYOFF_KINDS}, got {merged['kind']!r}")
+        for key in ("strike", "barrier"):
+            merged[key] = _as_number(merged[key], f"payoff.{key}")
         payoffs.append(merged)
 
     methods = tuple(raw.get("methods", METHODS))
@@ -147,9 +152,8 @@ def parse_config(path: str | None) -> ExperimentConfig:
     _require(not bad, f"unknown effdim keys: {sorted(bad)}")
     effdim_n = _as_int(eff.get("n", 2 ** 18), "effdim.n")
     _require(effdim_n >= 2, f"effdim.n must be >= 2, got {effdim_n}")
-    effdim_p = eff.get("p", 0.99)
-    _require(isinstance(effdim_p, (int, float)) and 0.0 < effdim_p <= 1.0,
-             f"effdim.p must be in (0, 1], got {effdim_p!r}")
+    effdim_p = _as_number(eff.get("p", 0.99), "effdim.p")
+    _require(0.0 < effdim_p <= 1.0, f"effdim.p must be in (0, 1], got {effdim_p!r}")
 
     sweep = dict(raw.get("sweep") or {})
     bad = set(sweep) - {"n"}
@@ -163,7 +167,7 @@ def parse_config(path: str | None) -> ExperimentConfig:
 
     return ExperimentConfig(model_kind=kind, model_params=params, m_values=m_values,
                             payoffs=tuple(payoffs), methods=methods, n=n, reps=reps,
-                            seed=seed, effdim_n=effdim_n, effdim_p=float(effdim_p),
+                            seed=seed, effdim_n=effdim_n, effdim_p=effdim_p,
                             sweep_n=sweep_n)
 
 
@@ -181,9 +185,9 @@ def _build_model(cfg: ExperimentConfig, m: int) -> ModelSpec:
 
 def _build_payoff(block: dict, model: ModelSpec) -> PayoffSpec:
     try:
-        return PayoffSpec.for_model(block["kind"], model, float(block["strike"]),
-                                    barrier=float(block["barrier"]))
-    except (TypeError, ValueError) as exc:
+        return PayoffSpec.for_model(block["kind"], model, block["strike"],
+                                    barrier=block["barrier"])
+    except ValueError as exc:
         raise ConfigError(f"invalid payoff parameters: {exc}") from exc
 
 

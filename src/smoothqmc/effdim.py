@@ -28,10 +28,6 @@ from .points import ScrambleSeed, scrambled_sobol
 
 __all__ = [
     "DimensionReport",
-    "truncation_ratio",
-    "first_order_ratio",
-    "mean_dimension",
-    "truncation_dimension",
     "dimension_report",
 ]
 
@@ -56,56 +52,6 @@ def _variance(values: np.ndarray) -> float:
 
 def _cov(x: np.ndarray, y: np.ndarray) -> float:
     return float((x - x.mean()) @ (y - y.mean()) / (x.size - 1))
-
-
-def truncation_ratio(integrand: Integrand, d: int, ell: int, n: int, seed: int) -> float:
-    """Fraction of variance explained by coordinates 1..ell."""
-    if not 1 <= ell <= d:
-        raise ValueError(f"ell must be in 1..{d}, got {ell}")
-    a, b = _base_blocks(d, n, seed)
-    ha = np.asarray(integrand(a), dtype=float)
-    hybrid = np.concatenate([a[:, :ell], b[:, ell:]], axis=1)
-    return _cov(ha, np.asarray(integrand(hybrid), dtype=float)) / _variance(ha)
-
-
-def first_order_ratio(integrand: Integrand, d: int, n: int, seed: int) -> float:
-    """Sum of first-order Sobol' indices: variance fraction of the
-    additive part of the integrand."""
-    a, b = _base_blocks(d, n, seed)
-    ha = np.asarray(integrand(a), dtype=float)
-    var = _variance(ha)
-    total = 0.0
-    for j in range(d):
-        hybrid = b.copy()
-        hybrid[:, j] = a[:, j]
-        total += _cov(ha, np.asarray(integrand(hybrid), dtype=float)) / var
-    return total
-
-
-def mean_dimension(integrand: Integrand, d: int, n: int, seed: int) -> float:
-    """Mean dimension in the superposition sense: sum of total indices
-    over the variance; 1 for additive integrands."""
-    a, b = _base_blocks(d, n, seed)
-    ha = np.asarray(integrand(a), dtype=float)
-    var = _variance(ha)
-    total = 0.0
-    for j in range(d):
-        hybrid = a.copy()
-        hybrid[:, j] = b[:, j]
-        diff = ha - np.asarray(integrand(hybrid), dtype=float)
-        total += float(diff @ diff) / (2.0 * ha.size)
-    return total / var
-
-
-def truncation_dimension(integrand: Integrand, d: int, n: int, seed: int,
-                         p: float = 0.99) -> int:
-    """Smallest ell whose truncation ratio reaches p; d if none does."""
-    if not 0.0 < p <= 1.0:
-        raise ValueError(f"p must be in (0, 1], got {p}")
-    for ell in range(1, d + 1):
-        if truncation_ratio(integrand, d, ell, n, seed) >= p:
-            return ell
-    return d
 
 
 @dataclass(frozen=True)

@@ -76,18 +76,19 @@ class EstimatorReport:
     reps: int
 
 
-def _identity_path_map(model: ModelSpec) -> Callable[[np.ndarray], np.ndarray]:
-    d = nominal_dim(model)
-    ident = identity_transform(d)
+def _path_map(model: ModelSpec,
+              transform: OrthogonalTransform) -> Callable[[np.ndarray], np.ndarray]:
+    """The map from normal coordinates z to the model's (N, m) price paths."""
     if isinstance(model, HestonSpec):
-        return lambda z: paths_heston(model, z, ident)
+        return lambda z: paths_heston(model, z, transform)
     law = increment_law_for(model)
-    return lambda z: paths_exp_levy(law, model.s0, z, ident)
+    return lambda z: paths_exp_levy(law, model.s0, z, transform)
 
 
 @functools.lru_cache(maxsize=64)
 def _weight_matrix_cached(weight_kind: str, model: ModelSpec) -> np.ndarray:
-    W = taylor_weight(_identity_path_map(model), weight_kind, nominal_dim(model))
+    d = nominal_dim(model)
+    W = taylor_weight(_path_map(model, identity_transform(d)), weight_kind, d)
     W.setflags(write=False)
     return W
 
@@ -111,25 +112,13 @@ def method_transform(method: str, payoff: PayoffSpec, model: ModelSpec) -> Ortho
     raise ValueError(f"unknown method {method!r}")
 
 
-def _raw_integrand(payoff: PayoffSpec, model: ModelSpec,
-                   transform: OrthogonalTransform) -> Callable[[np.ndarray], np.ndarray]:
-    if isinstance(model, HestonSpec):
-        def h(u):
-            return payoff_value(payoff, paths_heston(model, special.ndtri(u), transform))
-    else:
-        law = increment_law_for(model)
-
-        def h(u):
-            return payoff_value(payoff, paths_exp_levy(law, model.s0, special.ndtri(u), transform))
-    return h
-
-
 def method_integrand(method: str, payoff: PayoffSpec,
                      model: ModelSpec) -> Callable[[np.ndarray], np.ndarray]:
     """The (0,1)^d integrand a method averages over its point set."""
     transform = method_transform(method, payoff, model)
     if method in RAW_METHODS:
-        return _raw_integrand(payoff, model, transform)
+        paths = _path_map(model, transform)
+        return lambda u: payoff_value(payoff, paths(special.ndtri(u)))
     problem = build_separable(payoff, model, transform)
     return lambda u: evaluate_smoothed(problem, u)
 

@@ -360,24 +360,15 @@ def nominal_dim(model: ModelSpec) -> int:
 # path construction
 
 
-def _as_normal_batch(points) -> np.ndarray:
-    """Accept a PointSet or a raw normal-coordinate batch."""
-    values = getattr(points, "values", points)
-    values = np.asarray(values, dtype=float)
-    if hasattr(points, "values"):  # uniform points -> standard normals
-        values = special.ndtri(values)
-    return values
-
-
-def paths_exp_levy(law: IncrementLaw, s0: float, points,
+def paths_exp_levy(law: IncrementLaw, s0: float, z: np.ndarray,
                    transform: OrthogonalTransform) -> np.ndarray:
-    """Price paths S_i = s0 exp(x_1 + ... + x_i) from transformed coordinates.
+    """Price paths S_i = s0 exp(x_1 + ... + x_i) from an (N, m) batch of
+    normal coordinates z.
 
     Gaussian laws use x = mean + scale * (Uz); other laws map each
     transformed coordinate through inv(Phi(.)).
     """
-    z = _as_normal_batch(points)
-    y = apply_transform(transform, z)
+    y = apply_transform(transform, np.asarray(z, dtype=float))
     return s0 * np.exp(np.cumsum(log_increments(law, y), axis=1))
 
 
@@ -388,15 +379,15 @@ def log_increments(law: IncrementLaw, y: np.ndarray) -> np.ndarray:
     return law.inv(special.ndtr(y))
 
 
-def paths_heston(spec: HestonSpec, points, transform: OrthogonalTransform) -> np.ndarray:
-    """Log-Euler Heston paths from a 2m-coordinate batch.
+def paths_heston(spec: HestonSpec, z: np.ndarray, transform: OrthogonalTransform) -> np.ndarray:
+    """Log-Euler Heston paths from an (N, 2m) batch of normal coordinates.
 
     Coordinates are interleaved (z_1^1, z_1^2, ..., z_m^1, z_m^2): odd
     positions are asset-specific shocks, even positions drive the
     variance.  Square roots use the positive part of V (full truncation);
     the drifts keep the signed V.
     """
-    z = _as_normal_batch(points)
+    z = np.asarray(z, dtype=float)
     if z.shape[1] != spec.d:
         raise ValueError(f"Heston needs 2m = {spec.d} coordinates, got {z.shape[1]}")
     y = apply_transform(transform, z)

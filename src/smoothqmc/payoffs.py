@@ -3,8 +3,8 @@
 Three payoffs are built in: the binary Asian option, the pathwise
 Asian-delta estimator, and the down-and-out barrier call.  Each one is
 a smooth factor times an indicator whose payout region, conditional on
-the coordinates u_{2:d}, is an interval (Gamma_1, Gamma_2) in the first
-coordinate.
+the coordinates u_{2:d}, is the half-line {u_1 > Gamma(u_{2:d})} in the
+first coordinate.
 
 Every supported model factors as S_i = exp(xi(u_1)) zeta_i(u_{2:d}) once
 the transform pins the first coordinate, so the bounds are the first
@@ -119,18 +119,11 @@ def gamma_average(kappa: float, zeta: np.ndarray, law: IncrementLaw) -> np.ndarr
     return law.cdf(np.log(kappa * zeta.shape[-1] / zeta.sum(axis=-1)))
 
 
-def gamma_extreme(kappas: np.ndarray, zeta: np.ndarray, law: IncrementLaw,
-                  direction: str = "min-above") -> np.ndarray:
-    """Bound for extreme conditions over per-step levels kappa_j.
-
-    min-above: {S_j > kappa_j for all j} <=> u_1 > max_j F_xi(log(kappa_j /
-    zeta_j)), returns that max.  max-below: {S_j < kappa_j for all j} <=>
-    u_1 < min_j of the same, returns the min.
-    """
-    if direction not in ("min-above", "max-below"):
-        raise ValueError(f"unknown direction {direction!r}")
+def gamma_extreme(kappas: np.ndarray, zeta: np.ndarray, law: IncrementLaw) -> np.ndarray:
+    """Bound for the extreme condition {S_j > kappa_j for all j} over
+    per-step levels kappa_j: u_1 > max_j F_xi(log(kappa_j / zeta_j))."""
     g = law.cdf(np.log(np.asarray(kappas, dtype=float) / np.asarray(zeta, dtype=float)))
-    return g.max(axis=-1) if direction == "min-above" else g.min(axis=-1)
+    return g.max(axis=-1)
 
 
 def gamma_component(j: int, kappa: float, zeta: np.ndarray, law: IncrementLaw) -> np.ndarray:
@@ -145,11 +138,10 @@ def heston_gamma_average(kappa: float, u_rest: np.ndarray, spec: HestonSpec,
 
 
 def heston_gamma_extreme(kappas: np.ndarray, u_rest: np.ndarray, spec: HestonSpec,
-                         transform: OrthogonalTransform,
-                         direction: str = "min-above") -> np.ndarray:
-    """Heston bound for the extreme conditions of gamma_extreme on u_{2:d}."""
+                         transform: OrthogonalTransform) -> np.ndarray:
+    """Heston bound for the extreme condition of gamma_extreme on u_{2:d}."""
     return gamma_extreme(kappas, conditional_paths(spec, transform)(u_rest),
-                         first_shock_law(spec), direction)
+                         first_shock_law(spec))
 
 
 # ---------------------------------------------------------------------------
@@ -195,36 +187,23 @@ def conditional_paths(model: ModelSpec,
 
 @dataclass(frozen=True, eq=False)
 class SeparableProblem:
-    """A payoff in variable-separated form, f(u) 1{payout region in u_1}.
+    """A payoff in variable-separated form, f(u) 1{u_1 > Gamma(u_{2:d})}.
 
     conditional maps the conditioning block u_{2:d} to a state (the
-    conditional path zeta for built problems); lower/upper map that state
-    to the payout interval endpoints, and factor maps (u_1, state) to the
-    discounted smooth factor.  An evaluation builds the state once and
-    passes it on, so the problem itself holds no per-call data.  interval
-    orientation means the payout region is {Gamma_1 < u_1 < Gamma_2};
-    complement means its complement.
+    conditional path zeta for built problems); lower maps that state to
+    the bound Gamma, and factor maps (u_1, state) to the discounted smooth
+    factor.  An evaluation builds the state once and passes it on, so the
+    problem itself holds no per-call data.
     """
 
     conditional: Callable[[np.ndarray], np.ndarray]
     lower: Callable[[np.ndarray], np.ndarray]
-    upper: Callable[[np.ndarray], np.ndarray]
     factor: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    orientation: str
     d: int
-    payoff: PayoffSpec | None = None
-
-    def __post_init__(self):
-        if self.orientation not in ("interval", "complement"):
-            raise ValueError(f"unknown orientation {self.orientation!r}")
 
     def lower_bound(self, v: np.ndarray) -> np.ndarray:
-        """Gamma_1 on the conditioning coordinates u_{2:d}."""
+        """Gamma on the conditioning coordinates u_{2:d}."""
         return self.lower(self.conditional(v))
-
-    def upper_bound(self, v: np.ndarray) -> np.ndarray:
-        """Gamma_2 on the conditioning coordinates u_{2:d}."""
-        return self.upper(self.conditional(v))
 
     def smooth_factor(self, u: np.ndarray) -> np.ndarray:
         """Smooth factor on a full (N, d) uniform batch."""
@@ -234,7 +213,7 @@ class SeparableProblem:
 
 def build_separable(payoff: PayoffSpec, model: ModelSpec,
                     transform: OrthogonalTransform) -> SeparableProblem:
-    """Assemble (zeta, Gamma_1, Gamma_2, f) for a payoff/model/transform triple."""
+    """Assemble (zeta, Gamma, f) for a payoff/model/transform triple."""
     conditional = conditional_paths(model, transform)
     d = nominal_dim(model)
     if transform.d != d:
@@ -264,8 +243,4 @@ def build_separable(payoff: PayoffSpec, model: ModelSpec,
             def factor(u1, zeta):
                 return disc * growth(u1) * zeta.mean(axis=1) / payoff.s0
 
-    def upper(zeta):
-        return np.ones(zeta.shape[0])
-
-    return SeparableProblem(conditional=conditional, lower=lower, upper=upper, factor=factor,
-                            orientation="interval", d=d, payoff=payoff)
+    return SeparableProblem(conditional=conditional, lower=lower, factor=factor, d=d)

@@ -1,18 +1,16 @@
 """Push-out smoothing of indicator payoffs.
 
-Given a payoff in separated form f(u) * 1{Gamma_1 < u_1 < Gamma_2}, the
-push-out map squeezes u_1 into the payout interval,
+Given a payoff in separated form f(u) * 1{u_1 > Gamma(u_{2:d})}, the
+push-out map squeezes u_1 into the payout interval (Gamma, 1),
 
-    u_1~ = Gamma_1 + (Gamma_2 - Gamma_1) u_1,
+    u_1~ = Gamma + (1 - Gamma) u_1,
 
 and reweights by the interval length.  The smoothed integrand
 
-    h~(u) = (Gamma_2 - Gamma_1) f(u_1~, u_2, ..., u_d)
+    h~(u) = (1 - Gamma) f(u_1~, u_2, ..., u_d)
 
 has the same integral as the raw one and variance at most
-sup(Gamma_2 - Gamma_1) times the raw variance, but no discontinuity in
-u_1.  The complement orientation handles payout regions of the form
-{u_1 outside (Gamma_1, Gamma_2)} by subtraction.
+sup(1 - Gamma) times the raw variance, but no discontinuity in u_1.
 """
 
 from __future__ import annotations
@@ -45,34 +43,26 @@ def vpo_map(u1: np.ndarray, g1: np.ndarray, g2: np.ndarray):
 
 def _conditioned(problem: SeparableProblem, u):
     """Split a uniform batch into u_1 and the conditional state of u_{2:d},
-    with the payout interval bounds the state gives."""
-    u = np.atleast_2d(np.asarray(getattr(u, "values", u), dtype=float))
+    with the payout bound Gamma the state gives."""
+    u = np.atleast_2d(np.asarray(u, dtype=float))
     if u.shape[1] != problem.d:
         raise ValueError(f"expected {problem.d} coordinates, got {u.shape[1]}")
     state = problem.conditional(u[:, 1:])
-    return u[:, 0], state, problem.lower(state), problem.upper(state)
+    return u[:, 0], state, problem.lower(state)
 
 
 def evaluate_smoothed(problem: SeparableProblem, u: np.ndarray) -> np.ndarray:
     """Smoothed integrand values at the uniform points u of shape (N, d)."""
-    u1, state, g1, g2 = _conditioned(problem, u)
-    pushed, weight = vpo_map(u1, g1, g2)
-    inner = weight * problem.factor(pushed, state)
-    if problem.orientation == "interval":
-        return inner
-    return problem.factor(u1, state) - inner
-
-
-def _indicator(problem: SeparableProblem, u1, g1, g2) -> np.ndarray:
-    inside = (u1 > g1) & (u1 < g2)
-    return ~inside if problem.orientation == "complement" else inside
+    u1, state, g1 = _conditioned(problem, u)
+    pushed, weight = vpo_map(u1, g1, 1.0)
+    return weight * problem.factor(pushed, state)
 
 
 def evaluate_indicator(problem: SeparableProblem, u: np.ndarray) -> np.ndarray:
     """Raw (unsmoothed) integrand through the separated form, for
     equivalence checks against the direct path-payoff route."""
-    u1, state, g1, g2 = _conditioned(problem, u)
-    return np.where(_indicator(problem, u1, g1, g2), problem.factor(u1, state), 0.0)
+    u1, state, g1 = _conditioned(problem, u)
+    return np.where(u1 > g1, problem.factor(u1, state), 0.0)
 
 
 @dataclass(frozen=True)
@@ -94,16 +84,13 @@ def _variance_se(x: np.ndarray) -> float:
 
 
 def variance_bound_check(problem: SeparableProblem, n: int, seed: int) -> VarianceBoundReport:
-    """Monte Carlo check of Var(h~) <= c * Var(h) with c = sup(G2 - G1),
+    """Monte Carlo check of Var(h~) <= c * Var(h) with c = sup(1 - Gamma),
     allowing three-standard-error slack on both variance estimates."""
     u = pseudo_uniform(n, problem.d, ScrambleSeed(seed)).values
-    u1, state, g1, g2 = _conditioned(problem, u)
-    pushed, weight = vpo_map(u1, g1, g2)
-    full = problem.factor(u1, state)
-    raw = np.where(_indicator(problem, u1, g1, g2), full, 0.0)
+    u1, state, g1 = _conditioned(problem, u)
+    pushed, weight = vpo_map(u1, g1, 1.0)
+    raw = np.where(u1 > g1, problem.factor(u1, state), 0.0)
     smoothed = weight * problem.factor(pushed, state)
-    if problem.orientation == "complement":
-        smoothed = full - smoothed
     var_raw = float(np.var(raw, ddof=1))
     var_smoothed = float(np.var(smoothed, ddof=1))
     c_hat = float(weight.max())

@@ -86,6 +86,9 @@ sweep: {n: [16, 64]}
     ("reps: 1", "reps must be >= 2"),
     ("seed: -3", "seed"),
     ("effdim: {p: 1.5}", "effdim.p"),
+    ("effdim: {p: true}", "effdim.p"),
+    ("payoff: {strike: true}", "payoff.strike"),
+    ("payoff: {kind: barrier-down-out, barrier: true}", "payoff.barrier"),
     ("effdim: {q: 1}", "unknown effdim keys"),
     ("sweep: {n: [1000]}", "powers of two"),
     ("sweep: {n: []}", "sweep.n"),

@@ -3,14 +3,7 @@
 import numpy as np
 import pytest
 
-from smoothqmc.effdim import (
-    DimensionReport,
-    dimension_report,
-    first_order_ratio,
-    mean_dimension,
-    truncation_dimension,
-    truncation_ratio,
-)
+from smoothqmc.effdim import DimensionReport, dimension_report
 from smoothqmc.errors import NumericalError
 
 from oracles import g_anova, g_function, g_quadrature
@@ -24,31 +17,34 @@ N = 2 ** 13
 
 def test_single_coordinate_truncation():
     h = lambda u: np.atleast_2d(u)[:, 0]
-    assert truncation_ratio(h, 3, 1, N, seed=1) == pytest.approx(1.0, abs=0.01)
+    assert dimension_report(h, 3, N, seed=1).truncation[0] == pytest.approx(1.0, abs=0.01)
     h2 = lambda u: np.atleast_2d(u)[:, 1]
-    assert truncation_ratio(h2, 3, 1, N, seed=1) == pytest.approx(0.0, abs=0.01)
-    assert truncation_ratio(h2, 3, 2, N, seed=1) == pytest.approx(1.0, abs=0.01)
+    trunc2 = dimension_report(h2, 3, N, seed=1).truncation
+    assert trunc2[0] == pytest.approx(0.0, abs=0.01)
+    assert trunc2[1] == pytest.approx(1.0, abs=0.01)
 
 
 def test_additive_integrand_is_fully_first_order():
     h = lambda u: np.atleast_2d(u).sum(axis=1)
-    assert first_order_ratio(h, 4, N, seed=2) == pytest.approx(1.0, abs=0.02)
-    assert mean_dimension(h, 4, N, seed=2) == pytest.approx(1.0, abs=0.02)
+    report = dimension_report(h, 4, N, seed=2)
+    assert report.r_order1 == pytest.approx(1.0, abs=0.02)
+    assert report.d_ms == pytest.approx(1.0, abs=0.02)
 
 
 def test_pure_interaction_has_no_first_order_part():
     h = lambda u: np.prod(np.atleast_2d(u) - 0.5, axis=1)
-    assert first_order_ratio(h, 3, N, seed=3) == pytest.approx(0.0, abs=0.02)
-    assert mean_dimension(h, 3, N, seed=3) == pytest.approx(3.0, abs=0.05)
+    report = dimension_report(h, 3, N, seed=3)
+    assert report.r_order1 == pytest.approx(0.0, abs=0.02)
+    assert report.d_ms == pytest.approx(3.0, abs=0.05)
 
 
 def test_truncation_dimension_trivials():
     h = lambda u: np.atleast_2d(u)[:, 0]
-    assert truncation_dimension(h, 3, N, seed=4) == 1
+    assert dimension_report(h, 3, N, seed=4).d_t == 1
     additive = lambda u: np.atleast_2d(u).sum(axis=1)
     # equal shares of 1/4 each: only the full prefix reaches 99 percent
-    assert truncation_dimension(additive, 4, N, seed=4, p=0.99) == 4
-    assert truncation_dimension(additive, 4, N, seed=4, p=0.45) == 2
+    assert dimension_report(additive, 4, N, seed=4, p=0.99).d_t == 4
+    assert dimension_report(additive, 4, N, seed=4, p=0.45).d_t == 2
 
 
 # ---------------------------------------------------------------------------
@@ -83,11 +79,12 @@ def test_g_function_higher_dimension_closed_form():
     a = np.array([0.0, 0.5, 3.0, 9.0, 99.0, 99.0])
     h = g_function(a)
     _, trunc, first, mdim = g_anova(a)
-    assert truncation_ratio(h, 6, 2, 2 ** 14, seed=6) == pytest.approx(trunc[1], abs=0.01)
-    assert first_order_ratio(h, 6, 2 ** 14, seed=6) == pytest.approx(first, abs=0.015)
-    assert mean_dimension(h, 6, 2 ** 14, seed=6) == pytest.approx(mdim, rel=0.01)
+    report = dimension_report(h, 6, 2 ** 14, seed=6, p=0.98)
+    assert report.truncation[1] == pytest.approx(trunc[1], abs=0.01)
+    assert report.r_order1 == pytest.approx(first, abs=0.015)
+    assert report.d_ms == pytest.approx(mdim, rel=0.01)
     # R_2 = 0.935, R_3 = 0.991: the 0.98 threshold lands on ell = 3
-    assert truncation_dimension(h, 6, 2 ** 14, seed=6, p=0.98) == 3
+    assert report.d_t == 3
 
 
 # ---------------------------------------------------------------------------
@@ -112,8 +109,8 @@ def test_estimates_tighten_with_n():
     a = np.array([0.0, 0.5, 3.0])
     _, _, _, mdim = g_anova(a)
     h = g_function(a)
-    coarse = mean_dimension(h, 3, 2 ** 10, seed=9)
-    fine = mean_dimension(h, 3, 2 ** 16, seed=9)
+    coarse = dimension_report(h, 3, 2 ** 10, seed=9).d_ms
+    fine = dimension_report(h, 3, 2 ** 16, seed=9).d_ms
     assert abs(fine - mdim) <= 0.005
     assert abs(coarse - mdim) <= 0.05
 
@@ -121,16 +118,10 @@ def test_estimates_tighten_with_n():
 def test_degenerate_and_invalid_inputs():
     const = lambda u: np.ones(np.atleast_2d(u).shape[0])
     with pytest.raises(NumericalError):
-        truncation_ratio(const, 3, 1, 256, seed=10)
-    with pytest.raises(NumericalError):
         dimension_report(const, 3, 256, seed=10)
     h = lambda u: np.atleast_2d(u)[:, 0]
     with pytest.raises(ValueError):
-        truncation_ratio(h, 3, 0, 256, seed=10)
-    with pytest.raises(ValueError):
-        truncation_ratio(h, 3, 4, 256, seed=10)
-    with pytest.raises(ValueError):
-        truncation_dimension(h, 3, 256, seed=10, p=1.5)
+        dimension_report(h, 3, 256, seed=10, p=1.5)
     with pytest.raises(ValueError):
         dimension_report(h, 3, 256, seed=10, p=0.0)
 

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from scipy import integrate, optimize
+from scipy import integrate, optimize, special
 
 from smoothqmc.errors import NoEsscherRootError
 from smoothqmc.models import (
@@ -229,7 +229,7 @@ def test_zero_noise_path():
 def test_martingale_property_bs():
     law = increment_law_for(BS)
     u = pseudo_uniform(10 ** 5, 16, ScrambleSeed(21, 0))
-    S = paths_exp_levy(law, BS.s0, u, identity_transform(16))
+    S = paths_exp_levy(law, BS.s0, special.ndtri(u.values), identity_transform(16))
     disc = np.exp(-BS.r * BS.T) * S[:, -1]
     se = disc.std(ddof=1) / np.sqrt(len(disc))
     assert abs(disc.mean() - BS.s0) <= 3 * se
@@ -240,9 +240,9 @@ def test_measure_invariance_under_rotation():
     ident = identity_transform(16)
     W = taylor_weight(lambda z: paths_exp_levy(law, BS.s0, z, ident), "average", 16)
     U = mqr_transform(W)
-    u = pseudo_uniform(10 ** 5, 16, ScrambleSeed(22, 0))
-    s_id = paths_exp_levy(law, BS.s0, u, ident)[:, -1]
-    s_rot = paths_exp_levy(law, BS.s0, u, U)[:, -1]
+    z = special.ndtri(pseudo_uniform(10 ** 5, 16, ScrambleSeed(22, 0)).values)
+    s_id = paths_exp_levy(law, BS.s0, z, ident)[:, -1]
+    s_rot = paths_exp_levy(law, BS.s0, z, U)[:, -1]
     for moment in (1, 2):
         a, b = s_id ** moment, s_rot ** moment
         se = np.hypot(a.std(ddof=1), b.std(ddof=1)) / np.sqrt(len(a))

@@ -26,6 +26,7 @@ from smoothqmc.payoffs import (
     payoff_value,
 )
 from smoothqmc.points import ScrambleSeed, pseudo_uniform
+from smoothqmc.smoothing import evaluate_indicator
 from smoothqmc.transforms import identity_transform, mqr_transform, qr_transform, taylor_weight
 
 BS4 = BlackScholesSpec(s0=100.0, r=0.04, sigma=0.3, T=1.0, m=4)
@@ -114,8 +115,8 @@ def test_gamma_component_matches_marginal_probability():
     # averaged over the conditioning increments
     law = increment_law_for(BS4)
     kappa, n = 100.0, 10 ** 5
-    u = pseudo_uniform(n, 4, ScrambleSeed(5, 0))
-    S = paths_exp_levy(law, BS4.s0, u, identity_transform(4))
+    z = special.ndtri(pseudo_uniform(n, 4, ScrambleSeed(5, 0)).values)
+    S = paths_exp_levy(law, BS4.s0, z, identity_transform(4))
     ind = (S[:, 2] > kappa).astype(float)
     v = pseudo_uniform(n, 3, ScrambleSeed(5, 1)).values
     g = 1.0 - gamma_component(3, kappa, _bs_zeta(v, law, BS4.s0), law)
@@ -141,8 +142,8 @@ def test_gamma_average_flat_conditioning():
 def test_gamma_average_matches_average_probability():
     law = increment_law_for(BS4)
     kappa, n = 100.0, 10 ** 5
-    u = pseudo_uniform(n, 4, ScrambleSeed(6, 0))
-    S = paths_exp_levy(law, BS4.s0, u, identity_transform(4))
+    z = special.ndtri(pseudo_uniform(n, 4, ScrambleSeed(6, 0)).values)
+    S = paths_exp_levy(law, BS4.s0, z, identity_transform(4))
     ind = (S.mean(axis=1) > kappa).astype(float)
     v = pseudo_uniform(n, 3, ScrambleSeed(6, 1)).values
     g = 1.0 - gamma_average(kappa, _bs_zeta(v, law, BS4.s0), law)
@@ -173,19 +174,18 @@ def test_gamma_extreme_limits_and_direction():
     tiny = gamma_extreme(np.full(4, 1e-8), zeta, law)
     assert np.all(tiny <= 1e-12)
     levels = np.array([90.0, 90.0, 90.0, 100.0])
-    lo = gamma_extreme(levels, zeta, law, direction="min-above")
-    hi = gamma_extreme(levels, zeta, law, direction="max-below")
-    assert np.all(lo >= hi)  # max of the per-step bounds vs their min
-    with pytest.raises(ValueError):
-        gamma_extreme(levels, zeta, law, direction="sideways")
+    # all levels must hold, so the bound is the max of the per-step bounds
+    per_step = [gamma_component(j, levels[j - 1], zeta, law) for j in range(1, 5)]
+    np.testing.assert_allclose(gamma_extreme(levels, zeta, law), np.max(per_step, axis=0),
+                               atol=1e-14)
 
 
 def test_gamma_extreme_matches_survival_probability():
     law = increment_law_for(BS4)
     n = 10 ** 5
     levels = np.array([90.0, 90.0, 90.0, 100.0])
-    u = pseudo_uniform(n, 4, ScrambleSeed(9, 0))
-    S = paths_exp_levy(law, BS4.s0, u, identity_transform(4))
+    z = special.ndtri(pseudo_uniform(n, 4, ScrambleSeed(9, 0)).values)
+    S = paths_exp_levy(law, BS4.s0, z, identity_transform(4))
     ind = np.all(S > levels[None, :], axis=1).astype(float)
     v = pseudo_uniform(n, 3, ScrambleSeed(9, 1)).values
     g = 1.0 - gamma_extreme(levels, _bs_zeta(v, law, BS4.s0), law)
@@ -288,9 +288,6 @@ def test_heston_gamma_extreme_single_date():
     ga = heston_gamma_extreme(np.array([95.0]), u_rest, hes, identity_transform(2))
     gb = heston_gamma_average(95.0, u_rest, hes, identity_transform(2))
     np.testing.assert_allclose(ga, gb, atol=1e-12)
-    with pytest.raises(ValueError):
-        heston_gamma_extreme(np.array([95.0]), u_rest, hes, identity_transform(2),
-                             direction="sideways")
 
 
 def test_heston_bounds_reject_unpinned_transform():
@@ -315,9 +312,7 @@ def _pointwise_check(payoff, model, transform, n=10_000, seed=100):
         paths = paths_exp_levy(increment_law_for(model), model.s0,
                                special.ndtri(u), transform)
     direct = payoff_value(payoff, paths)
-    g1 = problem.lower_bound(u[:, 1:])
-    g2 = problem.upper_bound(u[:, 1:])
-    inside = (u[:, 0] > g1) & (u[:, 0] < g2)
+    inside = u[:, 0] > problem.lower_bound(u[:, 1:])
     separated = problem.smooth_factor(u) * inside
     assert np.max(np.abs(separated - direct)) <= 1e-10
     assert inside.mean() > 0.01  # both branches genuinely exercised
@@ -385,8 +380,12 @@ def test_delta_factor_independent_of_strike_indicator():
 
 
 def test_separable_orientation_validation():
+    # the payout region is the one-sided {u_1 > Gamma}: Gamma is a
+    # probability and the separated raw integrand is f(u) 1{u_1 > Gamma}
     payoff = PayoffSpec.for_model("binary-asian", BS4, 100.0)
     problem = build_separable(payoff, BS4, identity_transform(4))
-    assert problem.orientation == "interval"
-    v = pseudo_uniform(10, 3, ScrambleSeed(16, 0)).values
-    np.testing.assert_allclose(problem.upper_bound(v), 1.0)
+    u = pseudo_uniform(10, 4, ScrambleSeed(16, 0)).values
+    g = problem.lower_bound(u[:, 1:])
+    assert np.all((g >= 0.0) & (g <= 1.0))
+    np.testing.assert_array_equal(evaluate_indicator(problem, u),
+                                  problem.smooth_factor(u) * (u[:, 0] > g))

@@ -32,14 +32,13 @@ def _problem(kind, strike=100.0, barrier=None, model=BS16):
     return build_separable(payoff, model, identity_transform(model.m))
 
 
-def _constant_problem(g1, g2, orientation="interval", d=3):
+def _constant_problem(g1, d=3):
     # the conditional state is the conditioning block itself
     return SeparableProblem(
         conditional=lambda v: np.atleast_2d(v),
         lower=lambda state: np.full(state.shape[0], g1),
-        upper=lambda state: np.full(state.shape[0], g2),
         factor=lambda u1, state: np.ones(state.shape[0]),
-        orientation=orientation, d=d)
+        d=d)
 
 
 # ---------------------------------------------------------------------------
@@ -91,30 +90,15 @@ def test_vpo_map_lands_inside_interval():
 
 
 def test_constant_problem_smooths_to_interval_length():
-    problem = _constant_problem(0.2, 1.0)
+    problem = _constant_problem(0.2)
     u = pseudo_uniform(50, 3, ScrambleSeed(3, 0)).values
     np.testing.assert_allclose(evaluate_smoothed(problem, u), 0.8, atol=1e-15)
-
-
-def test_constant_complement_of_everything_is_zero():
-    problem = _constant_problem(0.0, 1.0, orientation="complement")
-    u = pseudo_uniform(50, 3, ScrambleSeed(3, 1)).values
-    np.testing.assert_allclose(evaluate_smoothed(problem, u), 0.0, atol=1e-14)
-
-
-def test_complement_subtracts_inner_interval():
-    problem = _constant_problem(0.25, 0.75, orientation="complement")
-    u = pseudo_uniform(50, 3, ScrambleSeed(3, 2)).values
-    np.testing.assert_allclose(evaluate_smoothed(problem, u), 0.5, atol=1e-14)
-    ind = evaluate_indicator(problem, u)
-    outside = (u[:, 0] <= 0.25) | (u[:, 0] >= 0.75)
-    np.testing.assert_allclose(ind, outside.astype(float), atol=1e-14)
 
 
 def test_smoothed_mean_hits_reference_price():
     # binary Asian, sigma=0.3, r=0.04, K=s0=100, 16 dates: price 0.4848
     problem = _problem("binary-asian")
-    h = evaluate_smoothed(problem, pseudo_uniform(10 ** 5, 16, ScrambleSeed(4, 0)))
+    h = evaluate_smoothed(problem, pseudo_uniform(10 ** 5, 16, ScrambleSeed(4, 0)).values)
     se = h.std(ddof=1) / np.sqrt(h.size)
     assert abs(h.mean() - 0.4848) <= 3 * se + 1e-4
 
@@ -130,11 +114,8 @@ def test_smoothed_matches_raw_in_expectation():
         assert abs(smooth.mean() - raw.mean()) <= 3 * se
 
 
-def test_smoothed_accepts_point_sets_and_checks_dimension():
+def test_smoothed_checks_dimension():
     problem = _problem("binary-asian")
-    pts = pseudo_uniform(16, 16, ScrambleSeed(6, 0))
-    np.testing.assert_allclose(evaluate_smoothed(problem, pts),
-                               evaluate_smoothed(problem, pts.values))
     with pytest.raises(ValueError):
         evaluate_smoothed(problem, np.full((4, 15), 0.5))
     with pytest.raises(ValueError):
@@ -176,7 +157,7 @@ def test_smoothing_restores_continuity_at_the_boundary():
 
 
 def test_variance_bound_constant_interval():
-    report = variance_bound_check(_constant_problem(0.4, 0.6), n=4000, seed=11)
+    report = variance_bound_check(_constant_problem(0.8), n=4000, seed=11)
     assert report.c_hat == pytest.approx(0.2, abs=1e-12)
     assert report.var_smoothed <= 1e-30  # constant integrand, ulp residue only
     assert report.var_raw > 0.0
@@ -226,8 +207,7 @@ def test_smoothed_factor_matches_direct_paths_at_pushed_point(model):
         payoff = PayoffSpec.for_model(kind, model, 100.0, barrier)
         for transform in (identity_transform(d), mqr_transform(weight_matrix(payoff, model))):
             problem = build_separable(payoff, model, transform)
-            pushed_u1, weight = vpo_map(u[:, 0], problem.lower_bound(u[:, 1:]),
-                                        problem.upper_bound(u[:, 1:]))
+            pushed_u1, weight = vpo_map(u[:, 0], problem.lower_bound(u[:, 1:]), 1.0)
             pushed = u.copy()
             pushed[:, 0] = pushed_u1
             if isinstance(model, HestonSpec):
