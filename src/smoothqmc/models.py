@@ -133,16 +133,15 @@ ModelSpec = Union[BlackScholesSpec, NigSpec, HestonSpec]
 class IncrementLaw:
     """CDF and inverse of one i.i.d. log-return increment.
 
-    For Gaussian laws the affine representation x = mean + scale * z is
-    exact and path generation uses it directly; otherwise paths go
-    through inv(Phi(z)).
+    Gaussian laws carry mean and scale: their affine representation
+    x = mean + scale * z is exact and path generation uses it directly.
+    Other laws leave both None, and paths go through inv(Phi(z)).
     """
 
     cdf: Callable[[np.ndarray], np.ndarray]
     inv: Callable[[np.ndarray], np.ndarray]
-    mean: float
-    scale: float
-    gaussian: bool = False
+    mean: float | None = None
+    scale: float | None = None
 
 
 def gaussian_law(mean: float, scale: float) -> IncrementLaw:
@@ -154,7 +153,7 @@ def gaussian_law(mean: float, scale: float) -> IncrementLaw:
     def inv(u):
         return mean + scale * special.ndtri(np.asarray(u, dtype=float))
 
-    return IncrementLaw(cdf=cdf, inv=inv, mean=mean, scale=scale, gaussian=True)
+    return IncrementLaw(cdf=cdf, inv=inv, mean=mean, scale=scale)
 
 
 def bs_increment_law(spec: BlackScholesSpec) -> IncrementLaw:
@@ -216,8 +215,9 @@ def esscher_theta(alpha: float, beta: float, mu: float, delta: float, r: float) 
 
 
 _GRID_POINTS = 2 ** 17 + 1
-_KNOTS = 2048
-_P_LO, _P_HI = 1e-6, 1.0 - 1e-6
+# Inverse nodes below this cdf value are dropped, so that every slope 1/f
+# of the inverse spline stays finite.
+_CDF_FLOOR = 1e-50
 # The NIG tails decay like exp(-(alpha - |beta|) |x|) whatever delta is;
 # a half-width of _TAIL_DECAYS decay lengths leaves less than 1e-10 of the
 # mass outside the grid (measured for delta from 2e-4 to 0.25 and
@@ -237,16 +237,20 @@ def _domain_half_width(alpha: float, beta: float, delta: float) -> float:
 def nig_numerical_law(alpha: float, beta: float, mu: float, delta: float) -> IncrementLaw:
     """One-time numerical construction of cdf/inverse for a NIG law.
 
-    The density is integrated by Simpson's rule on a dense grid spanning
-    mu +/- max(40 delta, 20 / (alpha - |beta|)); the forward cdf is a
-    cubic Hermite interpolant with exact density slopes, the inverse a
-    monotone cubic over 2048 knots equi-spaced in probability, polished by
-    two Newton steps with the exact density.  Queries outside the knot
-    range fall back to a bracketed Newton search on the dense grid.
+    The density is integrated by Simpson's rule on a grid spanning
+    mu +/- max(40 delta, 20 / (alpha - |beta|)), spaced as
+    mu + delta sinh(t) with t uniform, so that it is dense on the peak
+    (width delta) and sparse in the tails.  The forward cdf is the cubic
+    Hermite interpolant of the grid values with the density as slopes;
+    the inverse is the same interpolant with the axes swapped, slopes
+    1/density, on the grid nodes where the cdf is at least 1e-50 and
+    strictly increasing (Hoermann & Leydold, ACM TOMACS 13(4), 2003).
+    Queries are clamped into the node range.
     """
     half_width = _domain_half_width(alpha, beta, delta)
     x_lo, x_hi = mu - half_width, mu + half_width
-    x_grid = np.linspace(x_lo, x_hi, _GRID_POINTS)
+    t_max = np.arcsinh(half_width / delta)
+    x_grid = mu + delta * np.sinh(np.linspace(-t_max, t_max, _GRID_POINTS))
     pdf_grid = nig_density(x_grid, alpha, beta, mu, delta)
     cdf_grid = integrate.cumulative_simpson(pdf_grid, x=x_grid, initial=0.0)
     mass = cdf_grid[-1]
@@ -265,60 +269,19 @@ def nig_numerical_law(alpha: float, beta: float, mu: float, delta: float) -> Inc
         out = np.clip(spline(np.clip(x, x_lo, x_hi)), 0.0, 1.0)
         return np.where(x <= x_lo, 0.0, np.where(x >= x_hi, 1.0, out))
 
-    def pdf(x):
-        return nig_density(x, alpha, beta, mu, delta) / mass
-
-    def _invert(p, start=None):
-        """Newton polish safeguarded by a one-grid-cell bracket around the root."""
-        p = np.clip(p, 1e-300, 1.0)
-        hi_idx = np.clip(np.searchsorted(cdf_grid, p), 1, _GRID_POINTS - 1)
-        lo_b = x_grid[hi_idx - 1]
-        hi_b = x_grid[hi_idx]
-        x = 0.5 * (lo_b + hi_b) if start is None else np.clip(start, lo_b, hi_b)
-        moving = np.ones(x.shape, dtype=bool)
-        for it in range(60):
-            fx = spline(x) - p
-            if it >= 2:
-                # each root stops on its own residual, so its value does not
-                # depend on the other queries in the batch
-                moving = np.abs(fx) > 1e-13
-                if not moving.any():
-                    break
-            below = fx < 0.0
-            lo_b = np.where(below, x, lo_b)
-            hi_b = np.where(below, hi_b, x)
-            step = x - fx / np.maximum(pdf(x), 1e-300)
-            inside = (step > lo_b) & (step < hi_b)
-            x = np.where(moving, np.where(inside, step, 0.5 * (lo_b + hi_b)), x)
-        return x
-
-    knots_p = np.linspace(_P_LO, _P_HI, _KNOTS)
-    knots_x = _invert(knots_p)
-    pchip = interpolate.PchipInterpolator(knots_p, knots_x)
+    # strictly increasing nodes: the first of each run of equal cdf values
+    keep = np.concatenate([[True], np.diff(cdf_grid) > 0.0]) & (cdf_grid >= _CDF_FLOOR)
+    p_nodes = cdf_grid[keep]
+    inverse = interpolate.CubicHermiteSpline(p_nodes, x_grid[keep], 1.0 / pdf_norm[keep])
 
     def inv(u):
-        u = np.asarray(u, dtype=float)
-        flat = np.atleast_1d(u).ravel()
-        with np.errstate(over="ignore", invalid="ignore"):
-            # two Newton polish steps from the monotone-cubic start cover
-            # almost every query; stragglers (first/last knot cell, clamped
-            # tails) are re-solved with the bracketed routine
-            x = pchip(flat)
-            for _ in range(2):
-                x = x - (spline(x) - flat) / np.maximum(pdf(x), 1e-300)
-            residual = np.abs(spline(x) - flat)
-            bad = ~(residual <= 1e-12)
-            if bad.any():
-                x[bad] = _invert(flat[bad])
-        return x.reshape(u.shape)
+        return inverse(np.clip(np.asarray(u, dtype=float), p_nodes[0], p_nodes[-1]))
 
-    check = np.linspace(_P_LO, _P_HI, 10_000)
+    check = np.linspace(1e-6, 1.0 - 1e-6, 10_000)
     err = np.abs(cdf(inv(check)) - check).max()
     if err > 1e-8:
         raise DistributionBuildError(f"inverse round-trip error {err:.3e} exceeds 1e-8")
-
-    gamma = _nig_gamma(alpha, beta)
-    return IncrementLaw(cdf=cdf, inv=inv, mean=mu + delta * beta / gamma, scale=delta)
+    return IncrementLaw(cdf=cdf, inv=inv)
 
 
 def nig_inverse_cdf_build(spec: NigSpec) -> IncrementLaw:
@@ -374,7 +337,7 @@ def paths_exp_levy(law: IncrementLaw, s0: float, z: np.ndarray,
 
 def log_increments(law: IncrementLaw, y: np.ndarray) -> np.ndarray:
     """Log-return increments from transformed normal coordinates y."""
-    if law.gaussian:
+    if law.scale is not None:
         return law.mean + law.scale * y
     return law.inv(special.ndtr(y))
 

@@ -12,6 +12,7 @@ from smoothqmc.models import (
     bs_increment_law,
     esscher_theta,
     increment_law_for,
+    log_increments,
     nig_density,
     nig_inverse_cdf_build,
     nig_mgf,
@@ -138,8 +139,8 @@ def test_nig_inverse_round_trip():
 
 
 def test_nig_inverse_is_pointwise():
-    # the bracketed fallback for tail queries must not couple the values
-    # of one batch: inverting a batch equals inverting each value alone
+    # the inverse is an interpolant evaluated value by value, tails
+    # included: inverting a batch equals inverting each value alone
     law = nig_inverse_cdf_build(NIG)
     u = np.concatenate([np.geomspace(2.0 ** -32, 1e-5, 200), np.linspace(1e-5, 1 - 1e-5, 201),
                         1.0 - np.geomspace(1e-5, 2.0 ** -32, 200)])
@@ -149,12 +150,15 @@ def test_nig_inverse_is_pointwise():
 
 def test_nig_law_builds_at_fine_time_grids():
     # per-step tails decay like exp(-(alpha - |beta|)|x|) however small
-    # delta dt gets, so mu +/- 40 delta dt alone loses mass at m = 2000
+    # delta dt gets, so mu +/- 40 delta dt alone loses mass at m = 2000;
+    # with a slow tail decay the grid spans up to 4e5 deltas, and its
+    # nodes must still resolve the peak of width delta
     fine = NigSpec(s0=100.0, alpha=105.96, beta=-26.15, mu=1.2528, delta=4.032,
                    r=0.04, T=1.0, m=2000)
-    law = increment_law_for(fine)
     u = np.linspace(1e-6, 1 - 1e-6, 10_001)
-    assert np.max(np.abs(law.cdf(law.inv(u)) - u)) <= 1e-8
+    for law in (increment_law_for(fine), nig_numerical_law(20.0, 19.0, 0.0, 2e-4),
+                nig_numerical_law(1.0, 0.5, 0.0, 1e-4)):
+        assert np.max(np.abs(law.cdf(law.inv(u)) - u)) <= 1e-8
 
 
 def test_nig16_domain_stays_forty_step_deltas():
@@ -173,6 +177,17 @@ def test_nig_inverse_monotone_and_extreme_arguments():
     x = law.inv(u)
     assert np.all(np.isfinite(x))
     assert np.all(np.diff(x) > 0)
+    # the ends of [0, 1] are clamped onto the outermost nodes
+    x = law.inv(np.concatenate([[0.0, 1e-300], u, [1.0]]))
+    assert np.all(np.isfinite(x))
+    assert np.all(np.diff(x) >= 0)
+
+
+def test_nig_law_is_not_affine():
+    law = nig_inverse_cdf_build(NIG)
+    assert law.mean is None and law.scale is None
+    y = np.linspace(-6.0, 6.0, 7)[None, :]
+    np.testing.assert_array_equal(log_increments(law, y), law.inv(special.ndtr(y)))
 
 
 def test_nig_sampling_matches_density():
