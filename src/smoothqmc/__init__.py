@@ -31,11 +31,9 @@ from .models import (
     IncrementLaw,
     ModelSpec,
     NigSpec,
-    bs_increment_law,
     esscher_theta,
     increment_law_for,
     nig_density,
-    nig_inverse_cdf_build,
     nig_mgf,
     nig_numerical_law,
     nominal_dim,

@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import math
 import sys
 from dataclasses import dataclass, field, replace
 
@@ -81,8 +82,8 @@ def _as_int(value, name: str) -> int:
 
 
 def _as_number(value, name: str) -> float:
-    _require(isinstance(value, (int, float)) and not isinstance(value, bool),
-             f"{name} must be a number, got {value!r}")
+    _require(isinstance(value, (int, float)) and not isinstance(value, bool)
+             and math.isfinite(value), f"{name} must be a finite number, got {value!r}")
     return float(value)
 
 
@@ -210,10 +211,6 @@ def _cells(cfg: ExperimentConfig):
 
 
 def _fmt(x: float) -> str:
-    if x != x:  # NaN
-        return "nan"
-    if x in (float("inf"), float("-inf")):
-        return "inf" if x > 0 else "-inf"
     return f"{x:.12g}"
 
 

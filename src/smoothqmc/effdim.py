@@ -85,9 +85,10 @@ def dimension_report(integrand: Integrand, d: int, n: int, seed: int,
     var = _variance(ha)
 
     trunc = []
-    for ell in range(1, d + 1):
+    for ell in range(1, d):
         hybrid = np.concatenate([a[:, :ell], b[:, ell:]], axis=1)
         trunc.append(_cov(ha, np.asarray(integrand(hybrid), dtype=float)) / var)
+    trunc.append(_cov(ha, ha) / var)  # at l = d the hybrid is a itself
     trunc_dim = next((ell for ell, r in enumerate(trunc, start=1) if r >= p), d)
 
     first_order = 0.0

@@ -28,14 +28,7 @@ import numpy as np
 from scipy import special
 
 from .errors import NumericalError
-from .models import (
-    HestonSpec,
-    ModelSpec,
-    increment_law_for,
-    nominal_dim,
-    paths_exp_levy,
-    paths_heston,
-)
+from .models import ModelSpec, nominal_dim, path_map
 from .payoffs import PayoffSpec, build_separable, payoff_value
 from .points import ScrambleSeed, SobolSource, pseudo_uniform, scramble
 from .smoothing import evaluate_smoothed
@@ -76,19 +69,10 @@ class EstimatorReport:
     reps: int
 
 
-def _path_map(model: ModelSpec,
-              transform: OrthogonalTransform) -> Callable[[np.ndarray], np.ndarray]:
-    """The map from normal coordinates z to the model's (N, m) price paths."""
-    if isinstance(model, HestonSpec):
-        return lambda z: paths_heston(model, z, transform)
-    law = increment_law_for(model)
-    return lambda z: paths_exp_levy(law, model.s0, z, transform)
-
-
 @functools.lru_cache(maxsize=64)
 def _weight_matrix_cached(weight_kind: str, model: ModelSpec) -> np.ndarray:
     d = nominal_dim(model)
-    W = taylor_weight(_path_map(model, identity_transform(d)), weight_kind, d)
+    W = taylor_weight(path_map(model, identity_transform(d)), weight_kind, d)
     W.setflags(write=False)
     return W
 
@@ -117,7 +101,7 @@ def method_integrand(method: str, payoff: PayoffSpec,
     """The (0,1)^d integrand a method averages over its point set."""
     transform = method_transform(method, payoff, model)
     if method in RAW_METHODS:
-        paths = _path_map(model, transform)
+        paths = path_map(model, transform)
         return lambda u: payoff_value(payoff, paths(special.ndtri(u)))
     problem = build_separable(payoff, model, transform)
     return lambda u: evaluate_smoothed(problem, u)

@@ -2,15 +2,16 @@
 
 Black-Scholes and exponential-NIG paths are cumulative exponentials of
 i.i.d. log-return increments; the Heston model is discretized with a
-log-Euler scheme on interleaved (asset, variance) shocks.  Every model
-exposes the structure the smoothing and transform layers rely on: an
-increment law with cdf/inverse pair for the exponential-Levy models,
-and the first-shock factorization S_i = exp(c z_1) zeta_i(z_{2:d}) for
-Heston.
+log-Euler scheme on interleaved (asset, variance) shocks.  This module is
+the one place that knows how a model turns normal coordinates into
+prices: path_map gives the whole path, and factorization gives the
+structure the smoothing layer relies on, S_i = exp(xi(u_1)) zeta_i(u_{2:d})
+with the law of the first log-shock xi.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 from dataclasses import dataclass
 from typing import Callable, Union
@@ -28,19 +29,23 @@ __all__ = [
     "ModelSpec",
     "IncrementLaw",
     "gaussian_law",
-    "bs_increment_law",
     "nig_density",
     "nig_mgf",
     "esscher_theta",
     "nig_numerical_law",
-    "nig_inverse_cdf_build",
     "increment_law_for",
-    "first_shock_law",
     "nominal_dim",
     "paths_exp_levy",
-    "log_increments",
     "paths_heston",
+    "path_map",
+    "factorization",
 ]
+
+
+def _require_finite(spec) -> None:
+    bad = [f.name for f in dataclasses.fields(spec) if not np.isfinite(getattr(spec, f.name))]
+    if bad:
+        raise ValueError(f"{type(spec).__name__} requires finite {', '.join(bad)}")
 
 
 @dataclass(frozen=True)
@@ -52,7 +57,8 @@ class BlackScholesSpec:
     m: int = 16
 
     def __post_init__(self):
-        if self.s0 <= 0 or self.sigma <= 0 or self.T <= 0 or self.m < 1:
+        _require_finite(self)
+        if not (self.s0 > 0 and self.sigma > 0 and self.T > 0 and self.m >= 1):
             raise ValueError("BlackScholesSpec requires s0>0, sigma>0, T>0, m>=1")
 
     @property
@@ -83,11 +89,12 @@ class NigSpec:
     m: int = 16
 
     def __post_init__(self):
-        if self.s0 <= 0:
+        _require_finite(self)
+        if not self.s0 > 0:
             raise ValueError("NigSpec requires s0 > 0")
-        if not (abs(self.beta) <= self.alpha) or self.delta <= 0:
+        if not (abs(self.beta) <= self.alpha and self.delta > 0):
             raise ValueError("NigSpec requires |beta| <= alpha and delta > 0")
-        if self.T <= 0 or self.m < 1:
+        if not (self.T > 0 and self.m >= 1):
             raise ValueError("NigSpec requires T > 0 and m >= 1")
 
     @property
@@ -112,7 +119,8 @@ class HestonSpec:
     m: int = 16
 
     def __post_init__(self):
-        if self.s0 <= 0 or self.v0 <= 0 or self.T <= 0 or self.m < 1:
+        _require_finite(self)
+        if not (self.s0 > 0 and self.v0 > 0 and self.T > 0 and self.m >= 1):
             raise ValueError("HestonSpec requires s0>0, v0>0, T>0, m>=1")
         if not abs(self.rho) < 1:
             raise ValueError("HestonSpec requires rho strictly inside (-1, 1)")
@@ -154,11 +162,6 @@ def gaussian_law(mean: float, scale: float) -> IncrementLaw:
         return mean + scale * special.ndtri(np.asarray(u, dtype=float))
 
     return IncrementLaw(cdf=cdf, inv=inv, mean=mean, scale=scale)
-
-
-def bs_increment_law(spec: BlackScholesSpec) -> IncrementLaw:
-    """Increment law N(a, b^2) with a = (r - sigma^2/2) dt, b = sigma sqrt(dt)."""
-    return gaussian_law(spec.a, spec.b)
 
 
 def _nig_gamma(alpha: float, beta: float) -> float:
@@ -284,35 +287,22 @@ def nig_numerical_law(alpha: float, beta: float, mu: float, delta: float) -> Inc
     return IncrementLaw(cdf=cdf, inv=inv)
 
 
-def nig_inverse_cdf_build(spec: NigSpec) -> IncrementLaw:
-    """Increment law of one time step under the Esscher measure:
-    NIG(alpha, beta + theta, mu dt, delta dt)."""
-    return nig_numerical_law(spec.alpha, spec.beta + spec.theta,
-                             spec.mu * spec.dt, spec.delta * spec.dt)
-
-
 @functools.lru_cache(maxsize=32)
 def increment_law_for(model: ModelSpec) -> IncrementLaw | None:
-    """The per-step increment law, or None for models without one (Heston)."""
+    """The per-step increment law, or None for models without one (Heston).
+
+    Black-Scholes: N(a, b^2) with a = (r - sigma^2/2) dt, b = sigma sqrt(dt).
+    NIG: NIG(alpha, beta + theta, mu dt, delta dt), the step law under the
+    Esscher measure.
+    """
     if isinstance(model, BlackScholesSpec):
-        return bs_increment_law(model)
+        return gaussian_law(model.a, model.b)
     if isinstance(model, NigSpec):
-        return nig_inverse_cdf_build(model)
+        return nig_numerical_law(model.alpha, model.beta + model.theta,
+                                 model.mu * model.dt, model.delta * model.dt)
     if isinstance(model, HestonSpec):
         return None
     raise TypeError(f"unknown model spec {type(model).__name__}")
-
-
-def first_shock_law(model: ModelSpec) -> IncrementLaw:
-    """Law of the first log-shock xi in the factorization S_i = exp(xi) zeta_i.
-
-    For the exponential-Levy models xi is the first increment.  For Heston
-    it is c z_1, c = sqrt((1 - rho^2) v0 dt): the asset-specific shock of
-    the first log-Euler step, the only place z_1 enters the path.
-    """
-    if isinstance(model, HestonSpec):
-        return gaussian_law(0.0, float(np.sqrt((1.0 - model.rho ** 2) * model.v0 * model.dt)))
-    return increment_law_for(model)
 
 
 def nominal_dim(model: ModelSpec) -> int:
@@ -332,10 +322,10 @@ def paths_exp_levy(law: IncrementLaw, s0: float, z: np.ndarray,
     transformed coordinate through inv(Phi(.)).
     """
     y = apply_transform(transform, np.asarray(z, dtype=float))
-    return s0 * np.exp(np.cumsum(log_increments(law, y), axis=1))
+    return s0 * np.exp(np.cumsum(_log_increments(law, y), axis=1))
 
 
-def log_increments(law: IncrementLaw, y: np.ndarray) -> np.ndarray:
+def _log_increments(law: IncrementLaw, y: np.ndarray) -> np.ndarray:
     """Log-return increments from transformed normal coordinates y."""
     if law.scale is not None:
         return law.mean + law.scale * y
@@ -367,3 +357,50 @@ def paths_heston(spec: HestonSpec, z: np.ndarray, transform: OrthogonalTransform
         out[:, i] = log_s
         v = v + spec.nu * (spec.theta_bar - v) * dt + spec.sigma_v * vol * z_var[:, i]
     return np.exp(out)
+
+
+def path_map(model: ModelSpec,
+             transform: OrthogonalTransform) -> Callable[[np.ndarray], np.ndarray]:
+    """The map from normal coordinates z to the model's (N, m) price paths."""
+    if isinstance(model, HestonSpec):
+        return lambda z: paths_heston(model, z, transform)
+    law = increment_law_for(model)
+    return lambda z: paths_exp_levy(law, model.s0, z, transform)
+
+
+def factorization(model: ModelSpec, transform: OrthogonalTransform
+                  ) -> tuple[IncrementLaw, Callable[[np.ndarray], np.ndarray]]:
+    """The first-shock factorization S_i = exp(xi(u_1)) zeta_i(u_{2:d}).
+
+    Returns the law of xi and the map u_{2:d} -> zeta, the (N, m) path at
+    a zero first log-shock.  For the exponential-Levy models xi = x_1 and
+    zeta_i = s0 exp(x_2 + ... + x_i).  For Heston xi = c z_1 with
+    c = sqrt((1 - rho^2) v0 dt), the asset-specific shock of the first
+    log-Euler step and the only place z_1 enters the path; zeta is the
+    path at z_1 = 0.  The factorization needs the transform to pin the
+    first coordinate, (Uz)_1 = z_1, so a full-qr transform is rejected.
+    """
+    if transform.kind == "qr":
+        raise ValueError("separable form needs an identity or mqr transform; "
+                         "the full-qr transform does not pin the first coordinate")
+    if isinstance(model, HestonSpec):
+        c = float(np.sqrt((1.0 - model.rho ** 2) * model.v0 * model.dt))
+
+        def zeta(v):
+            v = np.atleast_2d(np.asarray(v, dtype=float))
+            z = np.zeros((v.shape[0], model.d))
+            z[:, 1:] = special.ndtri(v)
+            return paths_heston(model, z, transform)
+        return gaussian_law(0.0, c), zeta
+
+    law = increment_law_for(model)
+    rotation = transform.U[1:, 1:].T if transform.kind == "mqr" else None
+
+    def zeta(v):
+        y = special.ndtri(np.atleast_2d(np.asarray(v, dtype=float)))
+        if rotation is not None:
+            y = y @ rotation
+        log_zeta = np.zeros((y.shape[0], model.m))
+        np.cumsum(_log_increments(law, y), axis=1, out=log_zeta[:, 1:])
+        return model.s0 * np.exp(log_zeta)
+    return law, zeta

@@ -7,7 +7,8 @@ the coordinates u_{2:d}, is the half-line {u_1 > Gamma(u_{2:d})} in the
 first coordinate.
 
 Every supported model factors as S_i = exp(xi(u_1)) zeta_i(u_{2:d}) once
-the transform pins the first coordinate, so the bounds are the first
+the transform pins the first coordinate (models.factorization gives the
+law of xi and the map u_{2:d} -> zeta), so the bounds are the first
 log-shock's cdf applied to a function of the conditional path zeta
 (gamma_average, gamma_extreme), and the smooth factor at any u_1 is a
 function of exp(xi(u_1)) and the same zeta.  build_separable wires payoff,
@@ -21,18 +22,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import special
 
-from .models import (
-    HestonSpec,
-    IncrementLaw,
-    ModelSpec,
-    first_shock_law,
-    increment_law_for,
-    log_increments,
-    nominal_dim,
-    paths_heston,
-)
+from .models import HestonSpec, IncrementLaw, ModelSpec, factorization, nominal_dim
 from .transforms import OrthogonalTransform
 
 __all__ = [
@@ -44,11 +35,15 @@ __all__ = [
     "gamma_extreme",
     "heston_gamma_average",
     "heston_gamma_extreme",
-    "conditional_paths",
     "build_separable",
 ]
 
 PAYOFF_KINDS = ("binary-asian", "asian-delta", "barrier-down-out")
+
+
+def _positive(x: float | None) -> bool:
+    """True for a finite positive number; None and NaN are not."""
+    return x is not None and 0.0 < x < np.inf
 
 
 @dataclass(frozen=True)
@@ -64,10 +59,12 @@ class PayoffSpec:
     def __post_init__(self):
         if self.kind not in PAYOFF_KINDS:
             raise ValueError(f"unknown payoff kind {self.kind!r}")
-        if self.strike <= 0:
-            raise ValueError("strike must be positive")
-        if self.kind == "barrier-down-out" and (self.barrier is None or self.barrier <= 0):
-            raise ValueError("barrier-down-out needs a positive barrier level")
+        if not _positive(self.strike):
+            raise ValueError("strike must be positive and finite")
+        if self.kind == "barrier-down-out" and not _positive(self.barrier):
+            raise ValueError("barrier-down-out needs a positive finite barrier level")
+        if self.kind == "asian-delta" and not _positive(self.s0):
+            raise ValueError("asian-delta needs a positive finite reference price s0")
 
     @classmethod
     def for_model(cls, kind: str, model: ModelSpec, strike: float,
@@ -134,55 +131,19 @@ def gamma_component(j: int, kappa: float, zeta: np.ndarray, law: IncrementLaw) -
 def heston_gamma_average(kappa: float, u_rest: np.ndarray, spec: HestonSpec,
                          transform: OrthogonalTransform) -> np.ndarray:
     """Heston bound for S_A > kappa on the conditioning coordinates u_{2:d}."""
-    return gamma_average(kappa, conditional_paths(spec, transform)(u_rest), first_shock_law(spec))
+    law, zeta = factorization(spec, transform)
+    return gamma_average(kappa, zeta(u_rest), law)
 
 
 def heston_gamma_extreme(kappas: np.ndarray, u_rest: np.ndarray, spec: HestonSpec,
                          transform: OrthogonalTransform) -> np.ndarray:
     """Heston bound for the extreme condition of gamma_extreme on u_{2:d}."""
-    return gamma_extreme(kappas, conditional_paths(spec, transform)(u_rest),
-                         first_shock_law(spec))
+    law, zeta = factorization(spec, transform)
+    return gamma_extreme(kappas, zeta(u_rest), law)
 
 
 # ---------------------------------------------------------------------------
 # wiring
-
-
-def _require_pinned(transform: OrthogonalTransform) -> None:
-    # conditioning on u_{2:d} is only meaningful when (Uz)_1 = z_1
-    if transform.kind == "qr":
-        raise ValueError("separable form needs an identity or mqr transform; "
-                         "the full-qr transform does not pin the first coordinate")
-
-
-def conditional_paths(model: ModelSpec,
-                      transform: OrthogonalTransform) -> Callable[[np.ndarray], np.ndarray]:
-    """The map u_{2:d} -> zeta, the (N, m) path at a zero first log-shock.
-
-    With the first coordinate pinned, S_i = exp(xi(u_1)) zeta_i(u_{2:d}):
-    for exponential-Levy paths zeta_i = s0 exp(x_2 + ... + x_i), for Heston
-    zeta is the log-Euler path at z_1 = 0.
-    """
-    _require_pinned(transform)
-    if isinstance(model, HestonSpec):
-        def zeta(v):
-            v = np.atleast_2d(np.asarray(v, dtype=float))
-            z = np.zeros((v.shape[0], model.d))
-            z[:, 1:] = special.ndtri(v)
-            return paths_heston(model, z, transform)
-        return zeta
-
-    law = increment_law_for(model)
-    rotation = transform.U[1:, 1:].T if transform.kind == "mqr" else None
-
-    def zeta(v):
-        y = special.ndtri(np.atleast_2d(np.asarray(v, dtype=float)))
-        if rotation is not None:
-            y = y @ rotation
-        log_zeta = np.zeros((y.shape[0], model.m))
-        np.cumsum(log_increments(law, y), axis=1, out=log_zeta[:, 1:])
-        return model.s0 * np.exp(log_zeta)
-    return zeta
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,11 +175,10 @@ class SeparableProblem:
 def build_separable(payoff: PayoffSpec, model: ModelSpec,
                     transform: OrthogonalTransform) -> SeparableProblem:
     """Assemble (zeta, Gamma, f) for a payoff/model/transform triple."""
-    conditional = conditional_paths(model, transform)
+    law, conditional = factorization(model, transform)
     d = nominal_dim(model)
     if transform.d != d:
         raise ValueError(f"transform dimension {transform.d} does not match model dimension {d}")
-    law = first_shock_law(model)
     disc = payoff.discount
 
     def growth(u1):

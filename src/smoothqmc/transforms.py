@@ -19,6 +19,7 @@ from .errors import DegenerateWeightError
 
 _ORTHO_TOL = 1e-10
 _RANK_TOL = 1e-10
+_FD_STEP = 1e-5  # central-difference step of taylor_weight
 
 __all__ = [
     "OrthogonalTransform",
@@ -120,27 +121,27 @@ def mqr_transform(W) -> OrthogonalTransform:
     return OrthogonalTransform(U, "mqr")
 
 
-def taylor_weight(path_map, payoff_kind: str, d: int, step: float = 1e-5) -> np.ndarray:
+def taylor_weight(path_map, payoff_kind: str, d: int) -> np.ndarray:
     """First-order Taylor weight matrix of the path map at z = 0.
 
     path_map maps a (N, d) normal-coordinate batch to (N, m) price paths.
     'average' payoffs get the single column w0 = grad of the path average;
     'barrier' payoffs get columns [w_m, ..., w_1] with w_i = grad log S_i.
-    Gradients are central finite differences with the given step.
+    Gradients are central finite differences with step _FD_STEP.
     """
     if payoff_kind not in ("average", "barrier"):
         raise ValueError(f"unknown payoff kind {payoff_kind!r}")
     z = np.zeros((2 * d, d))
     rng = np.arange(d)
-    z[rng, rng] = step
-    z[d + rng, rng] = -step
+    z[rng, rng] = _FD_STEP
+    z[d + rng, rng] = -_FD_STEP
     paths = np.asarray(path_map(z), dtype=float)
     if payoff_kind == "average":
         avg = paths.mean(axis=1)
-        w0 = (avg[:d] - avg[d:]) / (2.0 * step)
+        w0 = (avg[:d] - avg[d:]) / (2.0 * _FD_STEP)
         W = w0[:, None]
     else:
-        grad_log = (np.log(paths[:d]) - np.log(paths[d:])) / (2.0 * step)  # (d, m)
+        grad_log = (np.log(paths[:d]) - np.log(paths[d:])) / (2.0 * _FD_STEP)  # (d, m)
         W = grad_log[:, ::-1]
     if not np.all(np.isfinite(W)):
         raise DegenerateWeightError("non-finite gradient in Taylor weight")

@@ -92,6 +92,9 @@ sweep: {n: [16, 64]}
     ("effdim: {q: 1}", "unknown effdim keys"),
     ("sweep: {n: [1000]}", "powers of two"),
     ("sweep: {n: []}", "sweep.n"),
+    ("payoff: {strike: .nan}", "payoff.strike"),
+    ("model: {sigma: .inf}", "model.sigma"),
+    ("payoff: {kind: barrier-down-out, barrier: -.inf}", "payoff.barrier"),
 ])
 def test_config_rejections(tmp_path, snippet, fragment):
     with pytest.raises(ConfigError) as exc:

@@ -98,6 +98,22 @@ def test_full_prefix_ratio_is_exactly_one():
     assert report.d == 3
 
 
+def test_integrand_call_count():
+    # one base evaluation, d - 1 truncation hybrids (at l = d the hybrid is
+    # the base block itself), and d first-order plus d total-index hybrids
+    calls = []
+
+    def counted(u):
+        calls.append(len(u))
+        return np.atleast_2d(u).sum(axis=1)
+
+    for d in (1, 2, 5):
+        calls.clear()
+        report = dimension_report(counted, d, 256, seed=13)
+        assert len(calls) == 3 * d
+        assert len(report.truncation) == d
+
+
 def test_truncation_ratios_increase():
     h = g_function(np.array([0.0, 0.5, 3.0, 9.0]))
     report = dimension_report(h, 4, 2 ** 14, seed=8)

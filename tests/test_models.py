@@ -9,19 +9,18 @@ from smoothqmc.models import (
     BlackScholesSpec,
     HestonSpec,
     NigSpec,
-    bs_increment_law,
     esscher_theta,
+    factorization,
     increment_law_for,
-    log_increments,
     nig_density,
-    nig_inverse_cdf_build,
     nig_mgf,
     nig_numerical_law,
     nominal_dim,
+    path_map,
     paths_exp_levy,
     paths_heston,
 )
-from smoothqmc.models import _domain_half_width
+from smoothqmc.models import _domain_half_width, _log_increments
 from smoothqmc.points import ScrambleSeed, pseudo_uniform
 from smoothqmc.transforms import identity_transform, mqr_transform, taylor_weight
 
@@ -35,19 +34,19 @@ NIG = NigSpec(s0=100.0, alpha=105.96, beta=-26.15, mu=1.2528, delta=4.032,
 
 
 def test_bs_increment_parameters():
-    law = bs_increment_law(BS)
+    law = increment_law_for(BS)
     assert law.mean == pytest.approx((0.04 - 0.045) / 16, abs=1e-15)
     assert law.scale == pytest.approx(0.075, abs=1e-15)
-    sym = bs_increment_law(BlackScholesSpec(s0=1.0, r=0.045, sigma=0.3, T=1.0, m=16))
+    sym = increment_law_for(BlackScholesSpec(s0=1.0, r=0.045, sigma=0.3, T=1.0, m=16))
     assert sym.cdf(0.0) == pytest.approx(0.5, abs=1e-14)
 
 
 def test_bs_round_trip():
-    unit = bs_increment_law(BlackScholesSpec(s0=1.0, r=0.3, sigma=1.0, T=1.0, m=1))
+    unit = increment_law_for(BlackScholesSpec(s0=1.0, r=0.3, sigma=1.0, T=1.0, m=1))
     for x in (-1.0, 0.0, 1.0):
         assert unit.inv(unit.cdf(x)) == pytest.approx(x, abs=1e-12)
     # narrow per-step law: same identity inside its representable range
-    law = bs_increment_law(BS)
+    law = increment_law_for(BS)
     for k in (-3.0, -1.0, 0.0, 1.0, 3.0):
         x = law.mean + k * law.scale
         assert law.inv(law.cdf(x)) == pytest.approx(x, abs=1e-12)
@@ -130,7 +129,7 @@ def test_esscher_no_root_error():
 
 
 def test_nig_inverse_round_trip():
-    law = nig_inverse_cdf_build(NIG)
+    law = increment_law_for(NIG)
     # off-grid probabilities, distinct from any construction-time grid
     u = (np.sqrt(5) - 1) / 2 * (np.arange(1, 10_001) % 9973) / 9973
     u = np.clip(u, 1e-6, 1 - 1e-6)
@@ -141,7 +140,7 @@ def test_nig_inverse_round_trip():
 def test_nig_inverse_is_pointwise():
     # the inverse is an interpolant evaluated value by value, tails
     # included: inverting a batch equals inverting each value alone
-    law = nig_inverse_cdf_build(NIG)
+    law = increment_law_for(NIG)
     u = np.concatenate([np.geomspace(2.0 ** -32, 1e-5, 200), np.linspace(1e-5, 1 - 1e-5, 201),
                         1.0 - np.geomspace(1e-5, 2.0 ** -32, 200)])
     single = np.array([law.inv(u[i:i + 1])[0] for i in range(u.size)])
@@ -172,7 +171,7 @@ def test_nig_inverse_symmetric_median():
 
 
 def test_nig_inverse_monotone_and_extreme_arguments():
-    law = nig_inverse_cdf_build(NIG)
+    law = increment_law_for(NIG)
     u = np.concatenate([[2.0 ** -32], np.linspace(1e-5, 1 - 1e-5, 1001), [1 - 2.0 ** -32]])
     x = law.inv(u)
     assert np.all(np.isfinite(x))
@@ -184,16 +183,16 @@ def test_nig_inverse_monotone_and_extreme_arguments():
 
 
 def test_nig_law_is_not_affine():
-    law = nig_inverse_cdf_build(NIG)
+    law = increment_law_for(NIG)
     assert law.mean is None and law.scale is None
     y = np.linspace(-6.0, 6.0, 7)[None, :]
-    np.testing.assert_array_equal(log_increments(law, y), law.inv(special.ndtr(y)))
+    np.testing.assert_array_equal(_log_increments(law, y), law.inv(special.ndtr(y)))
 
 
 def test_nig_sampling_matches_density():
     # histogram L1 distance between one million inverse-sampled draws and
     # exact bin probabilities from the CDF
-    law = nig_inverse_cdf_build(NIG)
+    law = increment_law_for(NIG)
     u = pseudo_uniform(10 ** 6, 1, ScrambleSeed(123, 0)).values[:, 0]
     x = law.inv(u)
     edges = np.linspace(float(law.inv(np.array([1e-5]))[0]),
@@ -322,3 +321,36 @@ def test_spec_validation():
         NigSpec(s0=100, alpha=1.0, beta=2.0, mu=0.0, delta=1.0, r=0.0)
     with pytest.raises(ValueError):
         HestonSpec(s0=100, v0=0.2, r=0.0, theta_bar=0.2, nu=1.0, sigma_v=0.2, rho=1.0)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError):
+            BlackScholesSpec(s0=bad, r=0.0, sigma=0.2)
+        with pytest.raises(ValueError):
+            BlackScholesSpec(s0=100, r=bad, sigma=0.2)
+        with pytest.raises(ValueError):
+            NigSpec(s0=100, alpha=1.0, beta=0.0, mu=0.0, delta=bad, r=0.0)
+        with pytest.raises(ValueError):
+            HestonSpec(s0=100, v0=0.2, r=0.0, theta_bar=bad, nu=1.0, sigma_v=0.2, rho=0.5)
+
+
+# ---------------------------------------------------------------------------
+# first-shock factorization
+
+
+@pytest.mark.parametrize("model", [
+    BlackScholesSpec(s0=100.0, r=0.04, sigma=0.3, T=1.0, m=4),
+    NigSpec(s0=100.0, alpha=105.96, beta=-26.15, mu=1.2528, delta=4.032,
+            r=0.04, T=1.0, m=4),
+    HestonSpec(s0=100.0, v0=0.2, r=0.04, theta_bar=0.2, nu=1.0,
+               sigma_v=0.2, rho=0.5, m=4),
+], ids=["bs4", "nig4", "heston4"])
+def test_factorization_reproduces_paths(model):
+    # exp(xi(u_1)) zeta(u_{2:d}) against the whole path map, with and
+    # without a pinned rotation
+    d = nominal_dim(model)
+    u = pseudo_uniform(500, d, ScrambleSeed(41, 0)).values
+    W = taylor_weight(path_map(model, identity_transform(d)), "barrier", d)
+    for transform in (identity_transform(d), mqr_transform(W)):
+        law, zeta = factorization(model, transform)
+        got = np.exp(law.inv(u[:, 0]))[:, None] * zeta(u[:, 1:])
+        want = path_map(model, transform)(special.ndtri(u))
+        np.testing.assert_allclose(got, want, rtol=1e-12)

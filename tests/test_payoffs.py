@@ -8,16 +8,14 @@ from smoothqmc.models import (
     BlackScholesSpec,
     HestonSpec,
     NigSpec,
-    bs_increment_law,
-    first_shock_law,
+    factorization,
     increment_law_for,
+    path_map,
     paths_exp_levy,
-    paths_heston,
 )
 from smoothqmc.payoffs import (
     PayoffSpec,
     build_separable,
-    conditional_paths,
     gamma_average,
     gamma_component,
     gamma_extreme,
@@ -87,6 +85,15 @@ def test_payoff_spec_validation():
         PayoffSpec("binary-asian", strike=-1.0)
     with pytest.raises(ValueError):
         PayoffSpec("barrier-down-out", strike=100.0)  # barrier missing
+    with pytest.raises(ValueError):
+        PayoffSpec("asian-delta", strike=100.0)  # reference price s0 missing
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            PayoffSpec("binary-asian", strike=bad)
+        with pytest.raises(ValueError):
+            PayoffSpec("barrier-down-out", strike=100.0, barrier=bad)
+        with pytest.raises(ValueError):
+            PayoffSpec("asian-delta", strike=100.0, s0=bad)
 
 
 def test_barrier_levels_fold_strike():
@@ -101,7 +108,7 @@ def test_barrier_levels_fold_strike():
 
 
 def test_gamma_component_trivials():
-    law = bs_increment_law(SYM4)
+    law = increment_law_for(SYM4)
     flat = np.full((1, 4), SYM4.s0)
     assert gamma_component(1, SYM4.s0, flat, law)[0] == pytest.approx(0.5, abs=1e-14)
     assert gamma_component(1, 1e-12, flat, law)[0] <= 1e-12
@@ -127,14 +134,14 @@ def test_gamma_component_matches_marginal_probability():
 
 
 def test_gamma_average_single_step_reduces_to_component():
-    law = bs_increment_law(BlackScholesSpec(s0=100.0, r=0.04, sigma=0.3, T=1.0, m=1))
+    law = increment_law_for(BlackScholesSpec(s0=100.0, r=0.04, sigma=0.3, T=1.0, m=1))
     zeta = np.full((5, 1), 100.0)
     np.testing.assert_allclose(gamma_average(95.0, zeta, law),
                                gamma_component(1, 95.0, zeta, law), atol=1e-14)
 
 
 def test_gamma_average_flat_conditioning():
-    law = bs_increment_law(SYM4)
+    law = increment_law_for(SYM4)
     g = gamma_average(SYM4.s0, np.full((1, 4), SYM4.s0), law)[0]
     assert g == pytest.approx(0.5, abs=1e-14)
 
@@ -152,7 +159,7 @@ def test_gamma_average_matches_average_probability():
 
 
 def test_gamma_average_monotone_in_strike():
-    law = bs_increment_law(BS4)
+    law = increment_law_for(BS4)
     v = pseudo_uniform(64, 3, ScrambleSeed(7, 0)).values
     zeta = _bs_zeta(v, law, BS4.s0)
     lo = gamma_average(90.0, zeta, law)
@@ -161,14 +168,14 @@ def test_gamma_average_monotone_in_strike():
 
 
 def test_gamma_extreme_single_level_reduces_to_component():
-    law = bs_increment_law(BS4)
+    law = increment_law_for(BS4)
     zeta = np.full((5, 1), 100.0)
     np.testing.assert_allclose(gamma_extreme(np.array([97.0]), zeta, law),
                                gamma_component(1, 97.0, zeta, law), atol=1e-14)
 
 
 def test_gamma_extreme_limits_and_direction():
-    law = bs_increment_law(BS4)
+    law = increment_law_for(BS4)
     v = pseudo_uniform(32, 3, ScrambleSeed(8, 0)).values
     zeta = _bs_zeta(v, law, BS4.s0)
     tiny = gamma_extreme(np.full(4, 1e-8), zeta, law)
@@ -194,7 +201,7 @@ def test_gamma_extreme_matches_survival_probability():
 
 
 def test_gamma_bounds_stay_in_unit_interval():
-    law = bs_increment_law(BS4)
+    law = increment_law_for(BS4)
     v = pseudo_uniform(256, 3, ScrambleSeed(10, 0)).values
     zeta = _bs_zeta(v, law, BS4.s0)
     for g in (gamma_average(100.0, zeta, law),
@@ -204,7 +211,7 @@ def test_gamma_bounds_stay_in_unit_interval():
 
 
 def test_gamma_average_is_continuous_in_conditioning():
-    law = bs_increment_law(BS4)
+    law = increment_law_for(BS4)
     v = pseudo_uniform(16, 3, ScrambleSeed(11, 0)).values
     x = _bs_x_rest(v, law)
     base = gamma_average(100.0, _zeta(x, BS4.s0), law)
@@ -219,7 +226,7 @@ def test_conditional_paths_match_zero_first_increment():
     # a pinned rotation of the conditioning block
     law = increment_law_for(BS4)
     v = pseudo_uniform(64, 3, ScrambleSeed(17, 0)).values
-    got = conditional_paths(BS4, identity_transform(4))(v)
+    got = factorization(BS4, identity_transform(4))[1](v)
     np.testing.assert_allclose(got, _bs_zeta(v, law, BS4.s0), rtol=1e-14)
     W = taylor_weight(lambda z: paths_exp_levy(law, BS4.s0, z, identity_transform(4)),
                       "barrier", 4)
@@ -227,7 +234,7 @@ def test_conditional_paths_match_zero_first_increment():
     z = np.zeros((64, 4))
     z[:, 1:] = special.ndtri(v)
     S0 = paths_exp_levy(law, BS4.s0, z, pinned)  # first increment x_1 = a
-    np.testing.assert_allclose(conditional_paths(BS4, pinned)(v), S0 / np.exp(law.mean),
+    np.testing.assert_allclose(factorization(BS4, pinned)[1](v), S0 / np.exp(law.mean),
                                rtol=1e-13)
 
 
@@ -251,10 +258,10 @@ def test_heston_gamma_average_hand_loop():
     zeta = _hand_heston_zeta(hes)
     c = np.sqrt((1 - hes.rho ** 2) * hes.v0 * hes.dt)
     want = special.ndtr((np.log(100.0 * 4) - np.log(zeta.sum())) / c)
-    assert gamma_average(100.0, zeta, first_shock_law(hes))[0] == pytest.approx(want, abs=1e-12)
+    law, conditional = factorization(hes, identity_transform(8))
+    assert gamma_average(100.0, zeta, law)[0] == pytest.approx(want, abs=1e-12)
     u_rest = np.full((1, 7), 0.5)
-    np.testing.assert_allclose(conditional_paths(hes, identity_transform(8))(u_rest), zeta,
-                               rtol=1e-14)
+    np.testing.assert_allclose(conditional(u_rest), zeta, rtol=1e-14)
     got = heston_gamma_average(100.0, u_rest, hes, identity_transform(8))[0]
     assert got == pytest.approx(want, abs=1e-12)
 
@@ -267,13 +274,15 @@ def test_heston_gamma_average_degenerate_matches_bs():
     hes = HestonSpec(s0=100.0, v0=0.09, r=0.04, theta_bar=0.09, nu=1.0,
                      sigma_v=0.0, rho=0.0, m=m)
     bs = BlackScholesSpec(s0=100.0, r=0.04, sigma=0.3, T=1.0, m=m)
-    law = bs_increment_law(bs)
+    law = increment_law_for(bs)
     u_rest = pseudo_uniform(50, 2 * m - 1, ScrambleSeed(12, 0)).values
-    zeta = conditional_paths(hes, identity_transform(2 * m))(u_rest)
-    got = gamma_average(100.0, zeta, first_shock_law(hes))
+    hes_law, conditional = factorization(hes, identity_transform(2 * m))
+    got = gamma_average(100.0, conditional(u_rest), hes_law)
     asset = u_rest[:, 1::2][:, : m - 1]  # original coordinates 3, 5, ...
     want = gamma_average(100.0, _bs_zeta(asset, law, bs.s0), law)
     assert np.max(np.abs(got - want)) <= 1e-10
+
+
 def test_heston_gamma_average_vanishing_strike():
     hes = HestonSpec(s0=100.0, v0=0.2, r=0.04, theta_bar=0.2, nu=1.0,
                      sigma_v=0.2, rho=0.5, m=4)
@@ -306,12 +315,7 @@ def test_heston_bounds_reject_unpinned_transform():
 def _pointwise_check(payoff, model, transform, n=10_000, seed=100):
     problem = build_separable(payoff, model, transform)
     u = pseudo_uniform(n, problem.d, ScrambleSeed(seed, 0)).values
-    if isinstance(model, HestonSpec):
-        paths = paths_heston(model, special.ndtri(u), transform)
-    else:
-        paths = paths_exp_levy(increment_law_for(model), model.s0,
-                               special.ndtri(u), transform)
-    direct = payoff_value(payoff, paths)
+    direct = payoff_value(payoff, path_map(model, transform)(special.ndtri(u)))
     inside = u[:, 0] > problem.lower_bound(u[:, 1:])
     separated = problem.smooth_factor(u) * inside
     assert np.max(np.abs(separated - direct)) <= 1e-10

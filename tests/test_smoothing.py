@@ -9,10 +9,8 @@ from smoothqmc.models import (
     BlackScholesSpec,
     HestonSpec,
     NigSpec,
-    increment_law_for,
     nominal_dim,
-    paths_exp_levy,
-    paths_heston,
+    path_map,
 )
 from smoothqmc.payoffs import PayoffSpec, SeparableProblem, build_separable
 from smoothqmc.points import EPS, ScrambleSeed, pseudo_uniform
@@ -210,11 +208,7 @@ def test_smoothed_factor_matches_direct_paths_at_pushed_point(model):
             pushed_u1, weight = vpo_map(u[:, 0], problem.lower_bound(u[:, 1:]), 1.0)
             pushed = u.copy()
             pushed[:, 0] = pushed_u1
-            if isinstance(model, HestonSpec):
-                paths = paths_heston(model, special.ndtri(pushed), transform)
-            else:
-                paths = paths_exp_levy(increment_law_for(model), model.s0,
-                                       special.ndtri(pushed), transform)
+            paths = path_map(model, transform)(special.ndtri(pushed))
             want = weight * _direct_factor(payoff, paths)
             gap = np.max(np.abs(evaluate_smoothed(problem, u) - want))
             assert gap <= 1e-10, (kind, transform.kind, gap)
