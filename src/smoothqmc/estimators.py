@@ -85,14 +85,15 @@ def weight_matrix(payoff: PayoffSpec, model: ModelSpec) -> np.ndarray:
 def method_transform(method: str, payoff: PayoffSpec, model: ModelSpec) -> OrthogonalTransform:
     """The orthogonal rotation a method applies to the normal coordinates."""
     d = nominal_dim(model)
-    # at d = 1 the pinned rotation diag(1) is the identity
-    if method in ("MC", "QMC-I", "sQMC-I") or (method == "sQMC-II" and d == 1):
+    if method in ("MC", "QMC-I", "sQMC-I"):
         return identity_transform(d)
     W = weight_matrix(payoff, model)
     if method == "QMC-II":
         return qr_transform(W)
     if method == "sQMC-II":
-        return mqr_transform(W)
+        # when no weight falls on z_2..z_d (d = 1, or Heston at m = 1 with
+        # rho = 0) there is nothing to rotate: the pinned rotation is the identity
+        return mqr_transform(W) if np.any(W[1:]) else identity_transform(d)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -113,15 +114,15 @@ def analysis_integrand(method: str, payoff: PayoffSpec,
 
     Matches method_integrand except when the smoothed integrand does not
     depend on the pushed coordinate at all (constant smooth factor, as
-    for the binary payoff): that coordinate is dropped and the analysis
-    runs on the remaining d - 1 inputs.
+    for the binary payoff) and d > 1: that coordinate is dropped and the
+    analysis runs on the remaining d - 1 inputs.
     """
     d = nominal_dim(model)
     if method in RAW_METHODS:
         return method_integrand(method, payoff, model), d
     transform = method_transform(method, payoff, model)
     problem = build_separable(payoff, model, transform)
-    if payoff.kind == "binary-asian":
+    if payoff.kind == "binary-asian" and d > 1:
         disc = payoff.discount
 
         def reduced(v):

@@ -87,21 +87,18 @@ class PayoffSpec:
         return "barrier" if self.kind == "barrier-down-out" else "average"
 
 
-def payoff_value(spec: PayoffSpec, paths: np.ndarray):
-    """Discounted payoff of each path; accepts one path or an (N, m) batch."""
+def payoff_value(spec: PayoffSpec, paths: np.ndarray) -> np.ndarray:
+    """Discounted payoff of each path of an (N, m) batch."""
     S = np.asarray(paths, dtype=float)
-    single = S.ndim == 1
-    S = np.atleast_2d(S)
+    if S.ndim != 2:
+        raise ValueError(f"paths must be an (N, m) batch, got shape {S.shape}")
     avg = S.mean(axis=1)
     if spec.kind == "binary-asian":
-        out = spec.discount * (avg > spec.strike).astype(float)
-    elif spec.kind == "asian-delta":
-        out = spec.discount * (avg / spec.s0) * (avg > spec.strike)
-    else:
-        levels = spec.barrier_levels(S.shape[1])
-        alive = np.all(S > levels[None, :], axis=1)
-        out = spec.discount * (S[:, -1] - spec.strike) * alive
-    return float(out[0]) if single else out
+        return spec.discount * (avg > spec.strike).astype(float)
+    if spec.kind == "asian-delta":
+        return spec.discount * (avg / spec.s0) * (avg > spec.strike)
+    alive = np.all(S > spec.barrier_levels(S.shape[1])[None, :], axis=1)
+    return spec.discount * (S[:, -1] - spec.strike) * alive
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ Corput sequence, all m_k = 1) is implicit and handled in code.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from importlib import resources
 
@@ -26,7 +27,6 @@ from .errors import DimensionTableError
 
 N_BITS = 32
 EPS = 2.0 ** -32
-MAX_DIM = 1024
 
 __all__ = [
     "EPS",
@@ -68,14 +68,6 @@ class PointSet:
         if v.size and not (0.0 < v.min() and v.max() < 1.0):
             raise ValueError("PointSet coordinates must lie strictly inside (0, 1)")
 
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.values.shape[1]
-
 
 @dataclass(frozen=True)
 class SobolSource:
@@ -91,34 +83,24 @@ class SobolSource:
 
 
 @functools.lru_cache(maxsize=None)
-def _direction_table() -> list[tuple[int, int, tuple[int, ...]]]:
-    """Parse the bundled table once: rows of (s, a, initial m's) for dims 2.."""
-    text = resources.files(__package__).joinpath("data/joe_kuo_directions.txt").read_text()
-    rows = []
-    for line in text.splitlines()[1:]:  # skip the "d s a m_i" header
-        parts = line.split()
-        if not parts:
-            continue
-        s, a = int(parts[1]), int(parts[2])
-        rows.append((s, a, tuple(int(t) for t in parts[3 : 3 + s])))
-    return rows
-
-
-@functools.lru_cache(maxsize=None)
 def _direction_integers(d: int) -> np.ndarray:
-    """Direction integers V of shape (d, N_BITS); V[j, k] = m_{k+1} << (31-k)."""
+    """Direction integers V of shape (d, N_BITS); V[j, k] = m_{k+1} << (31-k).
+
+    Reads only the table rows for dimensions 2..d.
+    """
     if d < 1:
         raise DimensionTableError(f"dimension must be >= 1, got {d}")
-    table = _direction_table()
-    if d > len(table) + 1:
+    with resources.files(__package__).joinpath("data/joe_kuo_directions.txt").open() as fh:
+        rows = [line.split() for line in itertools.islice(fh, 1, d)]  # skip the "d s a m_i" header
+    if len(rows) < d - 1:
         raise DimensionTableError(
-            f"dimension {d} exceeds the bundled direction-number table ({len(table) + 1} dims)"
+            f"dimension {d} exceeds the bundled direction-number table ({len(rows) + 1} dims)"
         )
     v = np.zeros((d, N_BITS), dtype=np.uint32)
     v[0] = np.uint32(1) << np.arange(N_BITS - 1, -1, -1, dtype=np.uint32)
-    for j in range(1, d):
-        s, a, m_init = table[j - 1]
-        m = list(m_init)
+    for j, parts in enumerate(rows, start=1):
+        s, a = int(parts[1]), int(parts[2])
+        m = [int(t) for t in parts[3 : 3 + s]]
         for k in range(s, N_BITS):
             # m_k = 2 a_1 m_{k-1} ^ ... ^ 2^{s-1} a_{s-1} m_{k-s+1} ^ 2^s m_{k-s} ^ m_{k-s}
             new = m[k - s] ^ (m[k - s] << s)

@@ -31,14 +31,12 @@ __all__ = [
 ]
 
 
-def vpo_map(u1: np.ndarray, g1: np.ndarray, g2: np.ndarray):
-    """Push u_1 into (g1, g2); returns the pushed coordinate and the
-    interval-length weight.  Empty intervals (g2 <= g1) get weight 0 and
-    leave the coordinate unchanged."""
-    u1 = np.asarray(u1, dtype=float)
-    weight = np.maximum(np.asarray(g2, dtype=float) - np.asarray(g1, dtype=float), 0.0)
-    pushed = np.where(weight > 0.0, g1 + weight * u1, u1)
-    return np.clip(pushed, EPS, 1.0 - EPS), weight
+def vpo_map(u1: np.ndarray, gamma: np.ndarray):
+    """Push u_1 into the payout interval (Gamma, 1); returns the pushed
+    coordinate and the interval-length weight 1 - Gamma.  Gamma is a cdf
+    value in [0, 1], so at Gamma = 1 the weight is 0."""
+    weight = 1.0 - np.asarray(gamma, dtype=float)
+    return np.clip(gamma + weight * np.asarray(u1, dtype=float), EPS, 1.0 - EPS), weight
 
 
 def _conditioned(problem: SeparableProblem, u):
@@ -54,7 +52,7 @@ def _conditioned(problem: SeparableProblem, u):
 def evaluate_smoothed(problem: SeparableProblem, u: np.ndarray) -> np.ndarray:
     """Smoothed integrand values at the uniform points u of shape (N, d)."""
     u1, state, g1 = _conditioned(problem, u)
-    pushed, weight = vpo_map(u1, g1, 1.0)
+    pushed, weight = vpo_map(u1, g1)
     return weight * problem.factor(pushed, state)
 
 
@@ -88,7 +86,7 @@ def variance_bound_check(problem: SeparableProblem, n: int, seed: int) -> Varian
     allowing three-standard-error slack on both variance estimates."""
     u = pseudo_uniform(n, problem.d, ScrambleSeed(seed)).values
     u1, state, g1 = _conditioned(problem, u)
-    pushed, weight = vpo_map(u1, g1, 1.0)
+    pushed, weight = vpo_map(u1, g1)
     raw = np.where(u1 > g1, problem.factor(u1, state), 0.0)
     smoothed = weight * problem.factor(pushed, state)
     var_raw = float(np.var(raw, ddof=1))

@@ -62,9 +62,9 @@ def identity_transform(d: int) -> OrthogonalTransform:
 
 
 def _as_weight(W) -> np.ndarray:
-    W = np.atleast_2d(np.asarray(W, dtype=float))
-    if W.shape[0] == 1 and W.shape[1] > 1:
-        W = W.T  # accept a single weight vector in either orientation
+    W = np.asarray(W, dtype=float)
+    if W.ndim != 2:
+        raise ValueError(f"weight matrix must be 2-d (d, r), got shape {W.shape}")
     return W
 
 

@@ -278,6 +278,23 @@ effdim: {n: 256}
     assert out == ""
 
 
+@pytest.mark.parametrize("kind", ["black-scholes", "nig"])
+def test_effdim_single_step_binary_keeps_its_pushed_coordinate(tmp_path, capsys, kind):
+    # at d = 1 the smoothed binary integrand is a constant: the analysis
+    # must fail on its variance, not hand Sobol' zero coordinates
+    path = _write(tmp_path, f"""
+model: {{kind: {kind}, m: 1}}
+payoff: {{kind: binary-asian, strike: 100.0}}
+methods: [sQMC-I]
+effdim: {{n: 256}}
+""")
+    code, out, err = _run(capsys, ["effdim", "--config", path])
+    assert code == 3
+    assert "variance" in err
+    assert "dimension must be" not in err
+    assert out == ""
+
+
 # ---------------------------------------------------------------------------
 # sweep
 

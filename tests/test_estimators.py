@@ -98,6 +98,19 @@ def test_single_step_pinned_rotation_is_the_identity():
     assert pinned.replicate_variance == plain.replicate_variance
 
 
+def test_pinned_rotation_without_weight_past_z1_is_the_identity():
+    # Heston at m = 1 with rho = 0: S_1 does not see the variance shock,
+    # so rows 2..d of the weight matrix are zero and there is nothing to rotate
+    hes = HestonSpec(s0=100.0, v0=0.2, r=0.04, theta_bar=0.2, nu=1.0,
+                     sigma_v=0.2, rho=0.0, m=1)
+    for kind, barrier in (("binary-asian", None), ("barrier-down-out", 90.0)):
+        payoff = PayoffSpec.for_model(kind, hes, 100.0, barrier)
+        assert method_transform("sQMC-II", payoff, hes).kind == "identity"
+        pinned = run("sQMC-II", payoff, hes, n=256, reps=4, seed=3)
+        plain = run("sQMC-I", payoff, hes, n=256, reps=4, seed=3)
+        assert pinned.estimate == plain.estimate
+
+
 def test_non_finite_replicate_mean_raises():
     # discount exp(-800) underflows to 0 while the paths overflow to inf
     extreme = BlackScholesSpec(s0=100.0, r=40.0, sigma=0.3, T=20.0, m=16)

@@ -51,31 +51,33 @@ def _bs_zeta(u_rest, law, s0):
 
 def test_payoff_value_flat_path_is_out_of_the_money():
     spec = PayoffSpec("binary-asian", strike=100.0)
-    assert payoff_value(spec, np.full(8, 100.0)) == 0.0  # strict inequality
+    np.testing.assert_array_equal(payoff_value(spec, np.full((1, 8), 100.0)), [0.0])  # strict inequality
 
 
 def test_payoff_value_binary_and_delta():
-    path = np.array([100.0, 110.0, 120.0, 110.0])  # average 110
-    assert payoff_value(PayoffSpec("binary-asian", strike=100.0, discount=0.5),
-                        path) == 0.5
+    path = np.array([[100.0, 110.0, 120.0, 110.0]])  # average 110
+    np.testing.assert_array_equal(
+        payoff_value(PayoffSpec("binary-asian", strike=100.0, discount=0.5), path), [0.5])
     delta = PayoffSpec("asian-delta", strike=100.0, discount=1.0, s0=100.0)
-    assert payoff_value(delta, path) == pytest.approx(1.1, abs=1e-14)
+    np.testing.assert_allclose(payoff_value(delta, path), [1.1], rtol=0, atol=1e-14)
     below = PayoffSpec("asian-delta", strike=120.0, discount=1.0, s0=100.0)
-    assert payoff_value(below, path) == 0.0
+    np.testing.assert_array_equal(payoff_value(below, path), [0.0])
 
 
 def test_payoff_value_barrier():
     spec = PayoffSpec("barrier-down-out", strike=100.0, barrier=90.0)
-    assert payoff_value(spec, np.array([95.0, 89.0, 120.0, 130.0])) == 0.0
-    assert payoff_value(spec, np.array([95.0, 91.0, 120.0, 105.0])) == pytest.approx(5.0)
+    np.testing.assert_array_equal(payoff_value(spec, np.array([[95.0, 89.0, 120.0, 130.0]])), [0.0])
+    np.testing.assert_allclose(payoff_value(spec, np.array([[95.0, 91.0, 120.0, 105.0]])), [5.0])
     # final level folds the strike in: finishing alive but below K pays zero
-    assert payoff_value(spec, np.array([95.0, 95.0, 95.0, 95.0])) == 0.0
+    np.testing.assert_array_equal(payoff_value(spec, np.array([[95.0, 95.0, 95.0, 95.0]])), [0.0])
 
 
 def test_payoff_value_batch_shape():
     spec = PayoffSpec("binary-asian", strike=100.0)
     batch = np.array([[101.0, 103.0], [95.0, 97.0]])
     np.testing.assert_allclose(payoff_value(spec, batch), [1.0, 0.0])
+    with pytest.raises(ValueError):
+        payoff_value(spec, batch[0])  # a single path is not a batch
 
 
 def test_payoff_spec_validation():

@@ -1,5 +1,7 @@
 """Point generation: Sobol' construction, scrambling, pseudo-uniforms."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from smoothqmc.points import (
     scramble,
     scrambled_sobol,
     sobol_raw,
+    _direction_integers,
 )
 
 
@@ -91,6 +94,13 @@ def test_dimension_table_limit():
         sobol_raw(2, 1025)
     with pytest.raises(ValueError):
         sobol_raw(0, 4)
+
+
+def test_direction_integers_match_the_full_table():
+    # every bit of every dimension the table holds, against a fixed digest
+    v = _direction_integers(1024)
+    assert v.shape == (1024, 32) and v.dtype == np.uint32
+    assert hashlib.md5(v.tobytes()).hexdigest() == "85d8a61da4c301bd96d4f505554dd8e7"
 
 
 def test_scramble_seed_validation():

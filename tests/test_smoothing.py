@@ -45,29 +45,27 @@ def _constant_problem(g1, d=3):
 
 def test_vpo_map_unit_interval_is_identity():
     u = np.linspace(0.05, 0.95, 19)
-    pushed, w = vpo_map(u, np.zeros(19), np.ones(19))
+    pushed, w = vpo_map(u, np.zeros(19))
     np.testing.assert_allclose(pushed, u, atol=1e-15)
     np.testing.assert_allclose(w, 1.0)
 
 
 def test_vpo_map_midpoint():
-    pushed, w = vpo_map(np.array([0.5]), np.array([0.25]), np.array([0.75]))
-    assert pushed[0] == pytest.approx(0.5, abs=1e-15)
-    assert w[0] == pytest.approx(0.5, abs=1e-15)
+    pushed, w = vpo_map(np.array([0.5]), np.array([0.25]))
+    assert pushed[0] == pytest.approx(0.625, abs=1e-15)
+    assert w[0] == pytest.approx(0.75, abs=1e-15)
 
 
 def test_vpo_map_empty_interval():
+    # Gamma = 1 leaves no payout interval: zero weight, coordinate at the top
     u = np.array([0.1, 0.6, 0.9])
-    pushed, w = vpo_map(u, np.full(3, 0.3), np.full(3, 0.3))
-    np.testing.assert_allclose(w, 0.0)
-    np.testing.assert_allclose(pushed, u)  # coordinate passes through
-    _, w_neg = vpo_map(u, np.full(3, 0.7), np.full(3, 0.3))
-    np.testing.assert_allclose(w_neg, 0.0)  # inverted interval clamps to 0
+    pushed, w = vpo_map(u, np.ones(3))
+    np.testing.assert_array_equal(w, 0.0)
+    np.testing.assert_array_equal(pushed, 1.0 - EPS)
 
 
 def test_vpo_map_clips_to_open_interval():
-    pushed, _ = vpo_map(np.array([0.0, 1.0]), np.array([0.0, 0.0]),
-                        np.array([1.0, 1.0]))
+    pushed, _ = vpo_map(np.array([0.0, 1.0]), np.array([0.0, 0.0]))
     assert pushed[0] == EPS
     assert pushed[1] == 1.0 - EPS
 
@@ -75,12 +73,11 @@ def test_vpo_map_clips_to_open_interval():
 def test_vpo_map_lands_inside_interval():
     rng = np.random.default_rng(2)
     u = rng.random(500)
-    g1 = rng.random(500) * 0.5
-    g2 = g1 + rng.random(500) * 0.5
-    pushed, w = vpo_map(u, g1, g2)
-    assert np.all(pushed >= g1 - 1e-15)
-    assert np.all(pushed <= g2 + 1e-15)
-    np.testing.assert_allclose(w, g2 - g1)
+    gamma = rng.random(500)
+    pushed, w = vpo_map(u, gamma)
+    assert np.all(pushed >= gamma - 1e-15)
+    assert np.all(pushed <= 1.0)
+    np.testing.assert_allclose(w, 1.0 - gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +202,7 @@ def test_smoothed_factor_matches_direct_paths_at_pushed_point(model):
         payoff = PayoffSpec.for_model(kind, model, 100.0, barrier)
         for transform in (identity_transform(d), mqr_transform(weight_matrix(payoff, model))):
             problem = build_separable(payoff, model, transform)
-            pushed_u1, weight = vpo_map(u[:, 0], problem.lower_bound(u[:, 1:]), 1.0)
+            pushed_u1, weight = vpo_map(u[:, 0], problem.lower_bound(u[:, 1:]))
             pushed = u.copy()
             pushed[:, 0] = pushed_u1
             paths = path_map(model, transform)(special.ndtri(pushed))

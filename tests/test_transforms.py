@@ -35,6 +35,13 @@ def test_mqr_two_dim_sign_convention():
     assert np.allclose(U.U, np.eye(2))
 
 
+def test_one_dimensional_weight_is_rejected():
+    # a bare weight vector has no orientation; W must be (d, r)
+    for build in (qr_transform, mqr_transform):
+        with pytest.raises(ValueError, match="2-d"):
+            build(np.array([1.0, 2.0, 3.0]))
+
+
 def test_mqr_canonical_column_gives_identity():
     W = np.zeros((6, 1))
     W[0, 0] = 3.0
