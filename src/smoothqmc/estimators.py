@@ -173,17 +173,16 @@ def run(method: str, payoff: PayoffSpec, model: ModelSpec, n: int, reps: int,
                            vrf=None, wall_time=wall, n=n, reps=reps)
 
 
-def _vrf(base_variance: float, variance: float) -> float:
-    if variance > 0.0:
-        return base_variance / variance
-    return 1.0 if base_variance == 0.0 else float("inf")
+def _vrf(base_variance: float, variance: float) -> float | None:
+    return base_variance / variance if variance > 0.0 else None
 
 
 def vrf_table(payoffs: Sequence[PayoffSpec], model: ModelSpec, methods: Sequence[str],
               n: int, reps: int, seed: int,
               threads: int = 1) -> list[tuple[PayoffSpec, EstimatorReport]]:
     """Run every (payoff, method) cell and attach variance-reduction
-    factors relative to the MC baseline of the same payoff."""
+    factors relative to the MC baseline of the same payoff; a cell whose
+    replicate variance is zero gets vrf None, as no finite factor exists."""
     if "MC" not in methods:
         raise ValueError("vrf_table needs the MC baseline method")
     rows: list[tuple[PayoffSpec, EstimatorReport]] = []

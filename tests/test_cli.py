@@ -95,11 +95,29 @@ sweep: {n: [16, 64]}
     ("payoff: {strike: .nan}", "payoff.strike"),
     ("model: {sigma: .inf}", "model.sigma"),
     ("payoff: {kind: barrier-down-out, barrier: -.inf}", "payoff.barrier"),
+    ("model: [1, 2]", "mapping of model keys"),
+    ("model: 0", "mapping of model keys"),
+    ("effdim: 5", "mapping of effdim keys"),
+    ("sweep: x", "mapping of sweep keys"),
+    ("payoff: 0", "mapping of payoff keys"),
+    ("[1, 2]", "mapping of config keys"),
+    ("methods: 5", "methods must be a non-empty list"),
+    ("methods: MC", "methods must be a non-empty list"),
+    ("model: {kind: [1]}", "model.kind"),
+    pytest.param("model: {sigma: 1" + "0" * 400 + "}", "model.sigma",
+                 id="model-sigma-int-beyond-float"),
 ])
 def test_config_rejections(tmp_path, snippet, fragment):
     with pytest.raises(ConfigError) as exc:
         parse_config(_write(tmp_path, snippet))
     assert fragment in str(exc.value)
+
+
+def test_malformed_block_exits_2_without_traceback(tmp_path, capsys):
+    path = _write(tmp_path, "model: [1, 2]")
+    code, out, err = _run(capsys, ["price", "--config", path])
+    assert code == 2 and out == ""
+    assert "error:" in err and "Traceback" not in err
 
 
 def test_missing_and_malformed_files(tmp_path):
@@ -172,6 +190,15 @@ def test_price_out_file_matches_stdout(tmp_path, capsys):
     assert target.read_text(encoding="utf-8") == out
 
 
+def test_price_unwritable_out_file_is_a_config_error(tmp_path, capsys):
+    path = _write(tmp_path, FAST_BS)
+    target = tmp_path / "missing" / "x.csv"
+    code, out, err = _run(capsys, ["price", "--config", path, "--out", str(target)])
+    assert code == 2 and out == ""
+    assert "cannot write output file" in err
+    assert not target.exists()
+
+
 def test_price_multiple_m_values(tmp_path, capsys):
     path = _write(tmp_path, """
 model: {kind: black-scholes, m: [2, 4]}
@@ -228,6 +255,25 @@ def test_vrf_needs_baseline(tmp_path, capsys):
     code, _, err = _run(capsys, ["vrf", "--config", path])
     assert code == 2
     assert "MC baseline" in err
+
+
+@pytest.mark.parametrize("command", ["price", "vrf"])
+def test_zero_replicate_variance_leaves_vrf_blank(tmp_path, capsys, command):
+    # at m = 1 and rho = 0 the bound Gamma does not see u_2, so the smoothed
+    # integrand is a constant: a zero variance has no finite factor
+    path = _write(tmp_path, """
+model: {kind: heston, m: 1, rho: 0.0}
+methods: [MC, sQMC-I, sQMC-II]
+n: 64
+reps: 3
+""")
+    code, out, _ = _run(capsys, [command, "--config", path])
+    assert code == 0
+    assert "inf" not in out
+    header, *rows = _rows(out)
+    vrf = {row[header.index("method")]: row[header.index("vrf")] for row in rows}
+    assert float(vrf["MC"]) == pytest.approx(1.0)
+    assert vrf["sQMC-I"] == "" and vrf["sQMC-II"] == ""
 
 
 # ---------------------------------------------------------------------------
