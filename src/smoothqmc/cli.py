@@ -18,7 +18,7 @@ zero.  Runs are byte-reproducible for a fixed seed: timing columns print
 0.0 unless --timing is given.
 
 Exit codes: 0 success, 2 configuration error (an unwritable --out too),
-3 numerical failure.
+3 numerical failure (effdim first writes every row, blank for a failed cell).
 """
 
 from __future__ import annotations
@@ -196,13 +196,8 @@ def _priced(cfg: ExperimentConfig, args):
     """Yield (case, model, report) for every (cell, method); the reports
     carry a vrf when MC is among the methods."""
     for case, model, payoff in _cells(cfg):
-        if "MC" in cfg.methods:
-            reports = [rep for _, rep in vrf_table([payoff], model, cfg.methods, cfg.n,
-                                                   cfg.reps, cfg.seed, threads=args.threads)]
-        else:
-            reports = [run(meth, payoff, model, cfg.n, cfg.reps, cfg.seed,
-                           threads=args.threads) for meth in cfg.methods]
-        for rep in reports:
+        for _, rep in vrf_table([payoff], model, cfg.methods, cfg.n, cfg.reps, cfg.seed,
+                                threads=args.threads):
             yield case, model, rep
 
 
@@ -256,12 +251,18 @@ def _cmd_effdim(cfg: ExperimentConfig, args) -> list[list[str]]:
     for case, model, payoff in _cells(cfg):
         for meth in methods:
             integrand, d = analysis_integrand(meth, payoff, model)
-            rep = dimension_report(integrand, d, cfg.effdim_n, cfg.seed, p=cfg.effdim_p)
-            rows.append([case, str(d), meth,
-                         _pct(rep.r_first), _pct(rep.r_first_two), _pct(rep.r_order1),
-                         str(rep.d_t), f"{rep.d_ms:.2f}",
-                         _fmt(rep.r_first), _fmt(rep.r_first_two), _fmt(rep.r_order1),
-                         _fmt(rep.d_ms)])
+            try:
+                rep = dimension_report(integrand, d, cfg.effdim_n, cfg.seed, p=cfg.effdim_p)
+                stats = [_pct(rep.r_first), _pct(rep.r_first_two), _pct(rep.r_order1),
+                         str(rep.d_t), f"{rep.d_ms:.2f}", _fmt(rep.r_first),
+                         _fmt(rep.r_first_two), _fmt(rep.r_order1), _fmt(rep.d_ms)]
+            except NumericalError as exc:  # blank statistics; the other cells go on
+                print(f"# effdim {case} {meth}: {exc}", file=sys.stderr)
+                stats = [""] * 9
+            rows.append([case, str(d), meth, *stats])
+    if any(not row[3] for row in rows):  # write every row, then exit 3
+        _write_csv(args.out, _COMMANDS["effdim"][2], rows)
+        raise NumericalError("effdim could not analyse every cell")
     return rows
 
 

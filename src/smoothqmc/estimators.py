@@ -112,24 +112,16 @@ def analysis_integrand(method: str, payoff: PayoffSpec,
                        model: ModelSpec) -> tuple[Callable[[np.ndarray], np.ndarray], int]:
     """Integrand and dimension for effective-dimension analysis.
 
-    Matches method_integrand except when the smoothed integrand does not
-    depend on the pushed coordinate at all (constant smooth factor, as
-    for the binary payoff) and d > 1: that coordinate is dropped and the
+    This is method_integrand, except for the smoothed binary payoff at
+    d > 1: its integrand (1 - Gamma) * discount does not depend on the
+    pushed coordinate, so that coordinate is fixed at 1/2 and the
     analysis runs on the remaining d - 1 inputs.
     """
     d = nominal_dim(model)
-    if method in RAW_METHODS:
-        return method_integrand(method, payoff, model), d
-    transform = method_transform(method, payoff, model)
-    problem = build_separable(payoff, model, transform)
-    if payoff.kind == "binary-asian" and d > 1:
-        disc = payoff.discount
-
-        def reduced(v):
-            return disc * (1.0 - problem.lower_bound(v))
-
-        return reduced, d - 1
-    return (lambda u: evaluate_smoothed(problem, u)), d
+    integrand = method_integrand(method, payoff, model)
+    if method in SMOOTHED_METHODS and payoff.kind == "binary-asian" and d > 1:
+        return (lambda v: integrand(np.column_stack([np.full(len(v), 0.5), v]))), d - 1
+    return integrand, d
 
 
 def run(method: str, payoff: PayoffSpec, model: ModelSpec, n: int, reps: int,
@@ -173,23 +165,19 @@ def run(method: str, payoff: PayoffSpec, model: ModelSpec, n: int, reps: int,
                            vrf=None, wall_time=wall, n=n, reps=reps)
 
 
-def _vrf(base_variance: float, variance: float) -> float | None:
-    return base_variance / variance if variance > 0.0 else None
-
-
 def vrf_table(payoffs: Sequence[PayoffSpec], model: ModelSpec, methods: Sequence[str],
               n: int, reps: int, seed: int,
               threads: int = 1) -> list[tuple[PayoffSpec, EstimatorReport]]:
     """Run every (payoff, method) cell and attach variance-reduction
-    factors relative to the MC baseline of the same payoff; a cell whose
-    replicate variance is zero gets vrf None, as no finite factor exists."""
-    if "MC" not in methods:
-        raise ValueError("vrf_table needs the MC baseline method")
+    factors relative to the MC baseline of the same payoff.  The vrf is
+    None in every row when MC is not among the methods, and in a row
+    whose replicate variance is zero, as no finite factor exists."""
     rows: list[tuple[PayoffSpec, EstimatorReport]] = []
     for payoff in payoffs:
         reports = {meth: run(meth, payoff, model, n, reps, seed, threads) for meth in methods}
-        base = reports["MC"].replicate_variance
+        base = reports["MC"].replicate_variance if "MC" in reports else None
         for meth in methods:
-            rep = reports[meth]
-            rows.append((payoff, dataclasses.replace(rep, vrf=_vrf(base, rep.replicate_variance))))
+            var = reports[meth].replicate_variance
+            vrf = base / var if base is not None and var > 0.0 else None
+            rows.append((payoff, dataclasses.replace(reports[meth], vrf=vrf)))
     return rows

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
-from scipy import integrate, interpolate, optimize, special
+from scipy import integrate, interpolate, special
 
 from .errors import DistributionBuildError, NoEsscherRootError
 from .transforms import OrthogonalTransform, apply_transform
@@ -101,7 +101,7 @@ class NigSpec:
     def dt(self) -> float:
         return self.T / self.m
 
-    @functools.cached_property
+    @property
     def theta(self) -> float:
         return esscher_theta(self.alpha, self.beta, self.mu, self.delta, self.r)
 
@@ -191,26 +191,16 @@ def nig_mgf(u, alpha: float, beta: float, mu: float, delta: float):
 
 
 def esscher_theta(alpha: float, beta: float, mu: float, delta: float, r: float) -> float:
-    """Solve log M(theta+1) - log M(theta) = r for the Esscher parameter.
-
-    The left side is strictly increasing in theta (log-convexity of M), so
-    a bracketed root on theta in [-alpha-beta, alpha-beta-1] is unique.
+    """The Esscher parameter, the root of log M(theta+1) - log M(theta) = r
+    (Gerber & Shiu, Trans. Soc. Actuaries 46, 1994), in closed form: with
+    s = beta + theta and c = (r - mu) / delta, 2s + 1 = c sqrt((4 alpha^2 -
+    1 - c^2) / (1 + c^2)).  It exists iff c^2 <= 2 alpha - 1 (so alpha >= 1/2).
     """
-    lo, hi = -alpha - beta, alpha - beta - 1.0
-    if lo >= hi:
-        raise NoEsscherRootError("Esscher domain is empty (alpha < 1/2)")
-
-    def residual(t):
-        g0 = np.sqrt(max((alpha - beta - t) * (alpha + beta + t), 0.0))
-        g1 = np.sqrt(max((alpha - beta - t - 1.0) * (alpha + beta + t + 1.0), 0.0))
-        return mu + delta * (g0 - g1) - r
-
-    if residual(lo) > 0.0 or residual(hi) < 0.0:
-        raise NoEsscherRootError("martingale equation has no root in the admissible range")
-    theta = optimize.brentq(residual, lo, hi, xtol=1e-13, rtol=8.9e-16, maxiter=200)
-    if abs(residual(theta)) > 1e-10:
-        raise NoEsscherRootError(f"root residual {residual(theta):.3e} exceeds 1e-10")
-    return float(theta)
+    c = (r - mu) / delta
+    if not c * c <= 2.0 * alpha - 1.0:
+        raise NoEsscherRootError(f"no Esscher root: c^2 = {c * c:.6g} > 2 alpha - 1")
+    t = c * np.sqrt((4.0 * alpha * alpha - 1.0 - c * c) / (1.0 + c * c))
+    return float(0.5 * (t - 1.0) - beta)
 
 
 # ---------------------------------------------------------------------------

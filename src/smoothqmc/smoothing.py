@@ -85,13 +85,11 @@ def variance_bound_check(problem: SeparableProblem, n: int, seed: int) -> Varian
     """Monte Carlo check of Var(h~) <= c * Var(h) with c = sup(1 - Gamma),
     allowing three-standard-error slack on both variance estimates."""
     u = pseudo_uniform(n, problem.d, ScrambleSeed(seed)).values
-    u1, state, g1 = _conditioned(problem, u)
-    pushed, weight = vpo_map(u1, g1)
-    raw = np.where(u1 > g1, problem.factor(u1, state), 0.0)
-    smoothed = weight * problem.factor(pushed, state)
+    raw = evaluate_indicator(problem, u)
+    smoothed = evaluate_smoothed(problem, u)
     var_raw = float(np.var(raw, ddof=1))
     var_smoothed = float(np.var(smoothed, ddof=1))
-    c_hat = float(weight.max())
+    c_hat = float(1.0 - _conditioned(problem, u)[2].min())
     slack = 3.0 * float(np.hypot(_variance_se(smoothed), c_hat * _variance_se(raw)))
     satisfied = var_smoothed <= c_hat * var_raw + slack
     return VarianceBoundReport(var_raw=var_raw, var_smoothed=var_smoothed,

@@ -108,8 +108,6 @@ def mqr_transform(W) -> OrthogonalTransform:
     """
     W = _as_weight(W)
     d = W.shape[0]
-    if d < 2:
-        raise DegenerateWeightError("mqr transform needs dimension d >= 2")
     _check_rank(W)
     rest = W[1:, :]
     if not np.any(rest):

@@ -321,7 +321,7 @@ effdim: {n: 256}
     code, out, err = _run(capsys, ["effdim", "--config", path])
     assert code == 3
     assert "numerical failure" in err
-    assert out == ""
+    assert _rows(out)[1:] == [["binary-asian|black-scholes|m=4", "3", "sQMC-I", *[""] * 9]]
 
 
 @pytest.mark.parametrize("kind", ["black-scholes", "nig"])
@@ -338,7 +338,34 @@ effdim: {{n: 256}}
     assert code == 3
     assert "variance" in err
     assert "dimension must be" not in err
-    assert out == ""
+    assert _rows(out)[1:] == [[f"binary-asian|{kind}|m=1", "1", "sQMC-I", *[""] * 9]]
+
+
+def test_effdim_reports_every_cell_when_one_fails(tmp_path, capsys):
+    # the smoothed binary integrand at m = 1 is a constant and cannot be
+    # analysed; the asian-delta cells still are, exactly as on their own
+    block = """
+model: {{kind: black-scholes, m: 1}}
+payoffs:
+{payoffs}
+methods: [sQMC-I, sQMC-II]
+effdim: {{n: 1024}}
+"""
+    binary = "  - {kind: binary-asian, strike: 100.0}"
+    delta = "  - {kind: asian-delta, strike: 100.0}"
+    both = _write(tmp_path, block.format(payoffs=f"{binary}\n{delta}"), "both.yaml")
+    alone = _write(tmp_path, block.format(payoffs=delta), "alone.yaml")
+    code, out, err = _run(capsys, ["effdim", "--config", both])
+    assert code == 3
+    rows = _rows(out)
+    assert len(rows) == 5
+    for meth, row in zip(("sQMC-I", "sQMC-II"), rows[1:3]):
+        assert row == ["binary-asian|black-scholes|m=1", "1", meth, *[""] * 9]
+        assert f"# effdim binary-asian|black-scholes|m=1 {meth}: " in err
+    assert "numerical failure:" in err
+    code_alone, out_alone, _ = _run(capsys, ["effdim", "--config", alone])
+    assert code_alone == 0
+    assert rows[3:] == _rows(out_alone)[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -380,6 +407,7 @@ def test_exit_code_for_missing_config(tmp_path, capsys):
     assert "cannot read config" in err
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_exit_code_for_non_finite_estimate(tmp_path, capsys):
     # valid but extreme inputs: discount exp(-800) underflows, paths overflow
     path = _write(tmp_path, """

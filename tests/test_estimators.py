@@ -16,7 +16,8 @@ from smoothqmc.estimators import (
 )
 from smoothqmc.errors import NumericalError
 from smoothqmc.models import BlackScholesSpec, HestonSpec, NigSpec
-from smoothqmc.payoffs import PayoffSpec
+from smoothqmc.payoffs import PayoffSpec, build_separable
+from smoothqmc.points import ScrambleSeed, SobolSource, pseudo_uniform, scramble
 
 BS = BlackScholesSpec(s0=100.0, r=0.04, sigma=0.3, T=1.0, m=16)
 BINARY = PayoffSpec.for_model("binary-asian", BS, 100.0)
@@ -111,6 +112,7 @@ def test_pinned_rotation_without_weight_past_z1_is_the_identity():
         assert pinned.estimate == plain.estimate
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_non_finite_replicate_mean_raises():
     # discount exp(-800) underflows to 0 while the paths overflow to inf
     extreme = BlackScholesSpec(s0=100.0, r=40.0, sigma=0.3, T=20.0, m=16)
@@ -161,9 +163,12 @@ def test_vrf_table_shape_and_baseline():
     assert by_payoff[("barrier-down-out", "MC")] == pytest.approx(1.0)
 
 
-def test_vrf_table_requires_baseline():
-    with pytest.raises(ValueError):
-        vrf_table([BINARY], BS, ("QMC-I", "sQMC-II"), n=128, reps=4, seed=5)
+def test_vrf_table_without_baseline_leaves_vrf_none():
+    rows = vrf_table([BINARY], BS, ("QMC-I", "sQMC-II"), n=128, reps=4, seed=5)
+    assert [rep.method for _, rep in rows] == ["QMC-I", "sQMC-II"]
+    for _, rep in rows:
+        assert rep.vrf is None
+        assert rep.estimate == run(rep.method, BINARY, BS, n=128, reps=4, seed=5).estimate
 
 
 def test_run_validation():
@@ -184,8 +189,6 @@ def test_timing_is_positive_and_excludes_setup():
 
 def test_method_integrand_means_match_run():
     # run() is exactly the mean of the integrand over replicate point sets
-    from smoothqmc.points import ScrambleSeed, SobolSource, scramble
-
     h = method_integrand("sQMC-I", BINARY, BS)
     means = [float(h(scramble(SobolSource(256, 16), ScrambleSeed(31, k)).values).mean())
              for k in range(3)]
@@ -198,6 +201,11 @@ def test_analysis_integrand_dimension_reduction():
     assert dim == 15  # pushed coordinate dropped for a constant factor
     v = np.full((4, 15), 0.5)
     assert np.all(np.isfinite(h(v)))
+    # bit-equal to the discounted payout-interval length (1 - Gamma)
+    problem = build_separable(BINARY, BS, method_transform("sQMC-II", BINARY, BS))
+    v = pseudo_uniform(64, 15, ScrambleSeed(19, 0)).values
+    np.testing.assert_array_equal(
+        h(v), BINARY.discount * (1.0 - problem.lower(problem.conditional(v))))
     h2, dim2 = analysis_integrand("sQMC-II", DELTA, BS)
     assert dim2 == 16
     h3, dim3 = analysis_integrand("QMC-I", BINARY, BS)
@@ -206,8 +214,6 @@ def test_analysis_integrand_dimension_reduction():
 
 def test_analysis_integrand_reduced_mean_matches_price():
     # integrating out the pushed coordinate preserves the integral
-    from smoothqmc.points import ScrambleSeed, pseudo_uniform
-
     h, dim = analysis_integrand("sQMC-I", BINARY, BS)
     v = pseudo_uniform(50_000, dim, ScrambleSeed(37, 0)).values
     vals = h(v)

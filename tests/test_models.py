@@ -124,6 +124,46 @@ def test_esscher_no_root_error():
         esscher_theta(0.4, 0.0, 0.0, 1.0, 0.0)
 
 
+def _esscher_cases(alphas, ks, r=0.04):
+    # a root exists iff c^2 <= 2 alpha - 1, c = (r - mu) / delta
+    for alpha in alphas:
+        for delta in (1e-3, 4.032, 30.0):
+            for beta in (-0.9 * alpha, 0.0, 0.9 * alpha):
+                for k in ks:
+                    mu = r - k * np.sqrt(2.0 * alpha - 1.0) * delta
+                    yield alpha, beta, mu, delta, r
+
+
+def test_esscher_closed_form_solves_the_martingale_equation():
+    def residual(theta):
+        def gamma(b):  # clamped at the domain edge, as the residual is there
+            return np.sqrt(max((alpha - b) * (alpha + b), 0.0))
+        s = beta + theta
+        return mu + delta * (gamma(s) - gamma(s + 1.0)) - r
+
+    cases = _esscher_cases((0.5, 0.6, 1.0, 3.0, 105.96, 300.0), (0.0, 0.5, -0.5, 0.999, -0.999))
+    for alpha, beta, mu, delta, r in cases:
+        theta = esscher_theta(alpha, beta, mu, delta, r)
+        # The residual rises in theta.  As s + 1 nears alpha its slope
+        # blows up, and even the double nearest the root leaves more than
+        # 1e-10 (4.6e-10 at alpha 105.96, delta 4.032, k 0.5); so the bound
+        # is 1e-10 plus the rise over 4 ulps either side of theta.
+        step = 4.0 * np.spacing(max(abs(theta), abs(beta), 1.0))
+        rise = residual(theta + step) - residual(theta - step)
+        assert abs(residual(theta)) <= 1e-10 + rise, (alpha, beta, mu, delta)
+
+
+def test_esscher_no_root_just_past_the_boundary():
+    for case in _esscher_cases((0.6, 1.0, 3.0, 105.96, 300.0), (1.0 + 1e-9, -1.0 - 1e-9)):
+        with pytest.raises(NoEsscherRootError):
+            esscher_theta(*case)
+
+
+def test_esscher_closed_form_matches_the_bracketed_root():
+    # the bracketed brentq root that the closed form replaced
+    assert abs(NIG.theta - -4.870885003754478) <= 1e-11
+
+
 # ---------------------------------------------------------------------------
 # NIG numerical inversion
 

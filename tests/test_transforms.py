@@ -152,6 +152,8 @@ def test_degenerate_weight_errors():
     with pytest.raises(DegenerateWeightError):
         mqr_transform(W)
     with pytest.raises(DegenerateWeightError):
+        mqr_transform(np.ones((1, 1)))  # d = 1: rows 2..d are empty
+    with pytest.raises(DegenerateWeightError):
         qr_transform(np.c_[np.ones(5), np.ones(5)])  # rank deficient
 
 
