@@ -34,7 +34,6 @@ from .models import (
     esscher_theta,
     increment_law_for,
     nig_density,
-    nig_mgf,
     nig_numerical_law,
     nominal_dim,
     paths_exp_levy,

@@ -36,6 +36,7 @@ from .errors import ConfigError, NumericalError
 from .estimators import METHODS, SMOOTHED_METHODS, analysis_integrand, run, vrf_table
 from .models import BlackScholesSpec, HestonSpec, NigSpec, nominal_dim
 from .payoffs import PAYOFF_KINDS, PayoffSpec
+from .points import N_BITS
 
 __all__ = ["main", "parse_config", "ExperimentConfig"]
 
@@ -103,6 +104,12 @@ def _as_seed(value, name: str) -> int:
     return value
 
 
+def _as_sample_size(value, name: str) -> int:
+    # a scrambled Sobol' net has at most 2^N_BITS points
+    _require(_as_int(value, name, 2) <= 2 ** N_BITS, f"{name} must be <= 2^{N_BITS}, got {value}")
+    return value
+
+
 def _as_number(value, name: str) -> float:
     # abs(x) <= max float rejects nan, +-inf, and ints too large for a float
     _require(isinstance(value, (int, float)) and not isinstance(value, bool)
@@ -156,7 +163,7 @@ def parse_config(path: str | None) -> ExperimentConfig:
     _require(0.0 < effdim_p <= 1.0, f"effdim.p must be in (0, 1], got {effdim_p!r}")
 
     sweep = _block(raw.get("sweep"), "sweep keys", ("n",))
-    sweep_n = tuple(_as_int(v, "sweep.n", 2) for v in
+    sweep_n = tuple(_as_sample_size(v, "sweep.n") for v in
                     _as_list(sweep.get("n", [2 ** k for k in range(10, 15)]), "sweep.n"))
     for v in sweep_n:
         _require(v & (v - 1) == 0, f"sweep.n entries must be powers of two >= 2, got {v}")
@@ -164,10 +171,10 @@ def parse_config(path: str | None) -> ExperimentConfig:
     return ExperimentConfig(
         model_kind=kind, model_params=params, m_values=m_values,
         payoffs=tuple(payoffs), methods=methods,
-        n=_as_int(raw.get("n", 4096), "n", 2),
+        n=_as_sample_size(raw.get("n", 4096), "n"),
         reps=_as_int(raw.get("reps", 100), "reps", 2),
         seed=_as_seed(raw.get("seed", 12345), "seed"),
-        effdim_n=_as_int(effdim.get("n", 2 ** 18), "effdim.n", 2),
+        effdim_n=_as_sample_size(effdim.get("n", 2 ** 18), "effdim.n"),
         effdim_p=effdim_p, sweep_n=sweep_n)
 
 

@@ -34,11 +34,6 @@ __all__ = [
 Integrand = Callable[[np.ndarray], np.ndarray]
 
 
-def _base_blocks(d: int, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    pts = scrambled_sobol(n, 2 * d, ScrambleSeed(seed))
-    return pts.values[:, :d], pts.values[:, d:]
-
-
 def _variance(values: np.ndarray) -> float:
     var = float(np.var(values, ddof=1))
     # constant integrands leave only summation residue, orders below
@@ -80,7 +75,7 @@ def dimension_report(integrand: Integrand, d: int, n: int, seed: int,
     truncation scan, first-order indices, and Jansen total indices."""
     if not 0.0 < p <= 1.0:
         raise ValueError(f"p must be in (0, 1], got {p}")
-    a, b = _base_blocks(d, n, seed)
+    a, b = np.hsplit(scrambled_sobol(n, 2 * d, ScrambleSeed(seed)).values, 2)
     ha = np.asarray(integrand(a), dtype=float)
     var = _variance(ha)
 

@@ -18,7 +18,6 @@ byte-stable under a fixed master seed.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -55,7 +54,7 @@ __all__ = [
 
 RAW_METHODS = ("MC", "QMC-I", "QMC-II")
 SMOOTHED_METHODS = ("sQMC-I", "sQMC-II")
-METHODS = ("MC", "QMC-I", "QMC-II", "sQMC-I", "sQMC-II")
+METHODS = RAW_METHODS + SMOOTHED_METHODS
 
 
 @dataclass(frozen=True)
@@ -69,31 +68,21 @@ class EstimatorReport:
     reps: int
 
 
-@functools.lru_cache(maxsize=64)
-def _weight_matrix_cached(weight_kind: str, model: ModelSpec) -> np.ndarray:
-    d = nominal_dim(model)
-    W = taylor_weight(path_map(model, identity_transform(d)), weight_kind, d)
-    W.setflags(write=False)
-    return W
-
-
 def weight_matrix(payoff: PayoffSpec, model: ModelSpec) -> np.ndarray:
-    """First-order Taylor weights of the payoff's smooth part at z = 0."""
-    return _weight_matrix_cached(payoff.weight_kind, model)
+    """First-order Taylor weights of the payoff's smooth part at z = 0,
+    built afresh on each call (a few finite-difference paths)."""
+    d = nominal_dim(model)
+    return taylor_weight(path_map(model, identity_transform(d)), payoff.weight_kind, d)
 
 
 def method_transform(method: str, payoff: PayoffSpec, model: ModelSpec) -> OrthogonalTransform:
     """The orthogonal rotation a method applies to the normal coordinates."""
-    d = nominal_dim(model)
     if method in ("MC", "QMC-I", "sQMC-I"):
-        return identity_transform(d)
-    W = weight_matrix(payoff, model)
+        return identity_transform(nominal_dim(model))
     if method == "QMC-II":
-        return qr_transform(W)
+        return qr_transform(weight_matrix(payoff, model))
     if method == "sQMC-II":
-        # when no weight falls on z_2..z_d (d = 1, or Heston at m = 1 with
-        # rho = 0) there is nothing to rotate: the pinned rotation is the identity
-        return mqr_transform(W) if np.any(W[1:]) else identity_transform(d)
+        return mqr_transform(weight_matrix(payoff, model))
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -133,8 +122,6 @@ def run(method: str, payoff: PayoffSpec, model: ModelSpec, n: int, reps: int,
     excludes one-time setup (weights, rotations, NIG inversion build).
     Raises NumericalError if any replicate mean is not finite.
     """
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}")
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     if reps < 2:

@@ -30,7 +30,6 @@ __all__ = [
     "IncrementLaw",
     "gaussian_law",
     "nig_density",
-    "nig_mgf",
     "esscher_theta",
     "nig_numerical_law",
     "increment_law_for",
@@ -124,6 +123,8 @@ class HestonSpec:
             raise ValueError("HestonSpec requires s0>0, v0>0, T>0, m>=1")
         if not abs(self.rho) < 1:
             raise ValueError("HestonSpec requires rho strictly inside (-1, 1)")
+        if not (self.nu >= 0 and self.theta_bar >= 0 and self.sigma_v >= 0):
+            raise ValueError("HestonSpec requires nu>=0, theta_bar>=0, sigma_v>=0")
 
     @property
     def dt(self) -> float:
@@ -179,15 +180,6 @@ def nig_density(x, alpha: float, beta: float, mu: float, delta: float):
     arg = alpha * s
     expo = delta * _nig_gamma(alpha, beta) + beta * (x - mu) - arg
     return (alpha * delta / np.pi) * np.exp(expo) * special.k1e(arg) / s
-
-
-def nig_mgf(u, alpha: float, beta: float, mu: float, delta: float):
-    """Moment generating function, defined for |beta + u| <= alpha."""
-    u = np.asarray(u, dtype=float)
-    if np.any(np.abs(beta + u) > alpha):
-        raise ValueError("nig_mgf undefined: |beta + u| > alpha")
-    val = np.exp(delta * (_nig_gamma(alpha, beta) - _nig_gamma(alpha, beta + u)) + mu * u)
-    return float(val) if val.ndim == 0 else val
 
 
 def esscher_theta(alpha: float, beta: float, mu: float, delta: float, r: float) -> float:
@@ -278,21 +270,20 @@ def nig_numerical_law(alpha: float, beta: float, mu: float, delta: float) -> Inc
 
 
 @functools.lru_cache(maxsize=32)
-def increment_law_for(model: ModelSpec) -> IncrementLaw | None:
-    """The per-step increment law, or None for models without one (Heston).
+def increment_law_for(model: ModelSpec) -> IncrementLaw:
+    """The law of one i.i.d. log-return step of an exponential-Levy model.
 
     Black-Scholes: N(a, b^2) with a = (r - sigma^2/2) dt, b = sigma sqrt(dt).
     NIG: NIG(alpha, beta + theta, mu dt, delta dt), the step law under the
-    Esscher measure.
+    Esscher measure.  Any other spec (Heston) has no i.i.d. steps and
+    raises TypeError.
     """
     if isinstance(model, BlackScholesSpec):
         return gaussian_law(model.a, model.b)
     if isinstance(model, NigSpec):
         return nig_numerical_law(model.alpha, model.beta + model.theta,
                                  model.mu * model.dt, model.delta * model.dt)
-    if isinstance(model, HestonSpec):
-        return None
-    raise TypeError(f"unknown model spec {type(model).__name__}")
+    raise TypeError(f"{type(model).__name__} has no i.i.d. increment law")
 
 
 def nominal_dim(model: ModelSpec) -> int:

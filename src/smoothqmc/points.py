@@ -27,6 +27,8 @@ from .errors import DimensionTableError
 
 N_BITS = 32
 EPS = 2.0 ** -32
+# digit k (0-based) of a 32-bit binary fraction sits at bit 31 - k: weight 2^(31-k)
+_DIGIT_WEIGHTS = np.uint32(1) << np.arange(N_BITS - 1, -1, -1, dtype=np.uint32)
 
 __all__ = [
     "EPS",
@@ -97,7 +99,7 @@ def _direction_integers(d: int) -> np.ndarray:
             f"dimension {d} exceeds the bundled direction-number table ({len(rows) + 1} dims)"
         )
     v = np.zeros((d, N_BITS), dtype=np.uint32)
-    v[0] = np.uint32(1) << np.arange(N_BITS - 1, -1, -1, dtype=np.uint32)
+    v[0] = _DIGIT_WEIGHTS
     for j, parts in enumerate(rows, start=1):
         s, a = int(parts[1]), int(parts[2])
         m = [int(t) for t in parts[3 : 3 + s]]
@@ -108,8 +110,7 @@ def _direction_integers(d: int) -> np.ndarray:
                 if (a >> (s - 1 - i)) & 1:
                     new ^= m[k - i] << i
             m.append(new)
-        for k in range(N_BITS):
-            v[j, k] = np.uint32(m[k] << (N_BITS - 1 - k))
+        v[j] = np.array(m, dtype=np.uint32) * _DIGIT_WEIGHTS
     return v
 
 
@@ -149,14 +150,12 @@ def _scramble_directions(directions: np.ndarray, rng: np.random.Generator) -> np
     """
     d = directions.shape[0]
     rand = rng.integers(0, 2 ** N_BITS, size=(d, N_BITS), dtype=np.uint32)
-    top = np.zeros(N_BITS, dtype=np.uint32)
-    top[1:] = (np.uint32(0xFFFFFFFF) << (N_BITS - np.arange(1, N_BITS, dtype=np.uint32))).astype(np.uint32)
-    diag = np.uint32(1) << np.arange(N_BITS - 1, -1, -1, dtype=np.uint32)
-    rows = (rand & top[None, :]) | diag[None, :]
+    # -w (mod 2^32) sets every bit from digit weight w up: row k keeps the
+    # random bits of digits 0..k-1 and sets digit k
+    rows = (rand & -_DIGIT_WEIGHTS[None, :]) | _DIGIT_WEIGHTS[None, :]
 
     digits = np.bitwise_count(rows[:, :, None] & directions[:, None, :]).astype(np.uint32) & np.uint32(1)
-    weight = np.uint32(1) << np.arange(N_BITS - 1, -1, -1, dtype=np.uint32)
-    return (digits * weight[None, :, None]).sum(axis=1, dtype=np.uint64).astype(np.uint32)
+    return (digits * _DIGIT_WEIGHTS[None, :, None]).sum(axis=1, dtype=np.uint64).astype(np.uint32)
 
 
 def scramble(source: SobolSource, seed: ScrambleSeed) -> PointSet:

@@ -105,13 +105,16 @@ def mqr_transform(W) -> OrthogonalTransform:
     R^T lower triangular, so a payoff of the form G(W^T z) becomes a
     function of at most r+1 leading coordinates while the separation
     interval in the first coordinate survives the change of variables.
+    When rows 2..d are all zero (d = 1, or Heston at m = 1 with rho = 0)
+    there is nothing to rotate, and the result is the identity transform.
+    A zero or rank-deficient W raises DegenerateWeightError.
     """
     W = _as_weight(W)
     d = W.shape[0]
     _check_rank(W)
     rest = W[1:, :]
     if not np.any(rest):
-        raise DegenerateWeightError("rows 2..d of the weight matrix are all zero")
+        return identity_transform(d)
     Q, _ = _qr_nonneg(rest)
     U = np.zeros((d, d))
     U[0, 0] = 1.0

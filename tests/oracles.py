@@ -1,12 +1,27 @@
-"""Shared test oracles: product test function with known ANOVA structure.
+"""Shared test oracles.
 
-Two independent routes to the same quantities: a closed-form ANOVA from
-the product structure, and a tensor composite Gauss-Legendre quadrature
-that never touches the closed form.  Both are exact for this integrand,
-so agreement to rounding validates either route.
+A product test function with known ANOVA structure, reached by two
+independent routes: a closed-form ANOVA from the product structure, and a
+tensor composite Gauss-Legendre quadrature that never touches the closed
+form.  Both are exact for this integrand, so agreement to rounding
+validates either route.  And the NIG moment generating function, the
+reference that the closed-form Esscher parameter is checked against.
 """
 
 import numpy as np
+
+
+def nig_mgf(u, alpha, beta, mu, delta):
+    """NIG moment generating function, defined for |beta + u| <= alpha."""
+    u = np.asarray(u, dtype=float)
+    if np.any(np.abs(beta + u) > alpha):
+        raise ValueError("nig_mgf undefined: |beta + u| > alpha")
+
+    def gamma(b):
+        return np.sqrt((alpha - b) * (alpha + b))
+
+    val = np.exp(delta * (gamma(beta) - gamma(beta + u)) + mu * u)
+    return float(val) if val.ndim == 0 else val
 
 
 def g_function(a):

@@ -106,11 +106,24 @@ sweep: {n: [16, 64]}
     ("model: {kind: [1]}", "model.kind"),
     pytest.param("model: {sigma: 1" + "0" * 400 + "}", "model.sigma",
                  id="model-sigma-int-beyond-float"),
+    # past the 2^32-point Sobol' net; never run these with MC, which would
+    # allocate the n x d batch
+    ("methods: [QMC-I]\nn: 4294967297\nreps: 2", "n must be <= 2^32"),
+    ("methods: [sQMC-II]\neffdim: {n: 8589934592}", "effdim.n must be <= 2^32"),
+    ("methods: [QMC-I]\nreps: 2\nsweep: {n: [8589934592]}", "sweep.n must be <= 2^32"),
 ])
 def test_config_rejections(tmp_path, snippet, fragment):
     with pytest.raises(ConfigError) as exc:
         parse_config(_write(tmp_path, snippet))
     assert fragment in str(exc.value)
+
+
+def test_negative_heston_parameter_exits_2(tmp_path, capsys):
+    # the spec, not parse_config, checks model parameters
+    path = _write(tmp_path, "model: {kind: heston, m: 2, sigma_v: -0.2}\nn: 64\nreps: 2\n")
+    code, out, err = _run(capsys, ["price", "--config", path])
+    assert code == 2 and out == ""
+    assert "invalid model or payoff parameters" in err
 
 
 def test_malformed_block_exits_2_without_traceback(tmp_path, capsys):

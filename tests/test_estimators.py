@@ -39,11 +39,8 @@ def test_method_transform_kinds():
         method_transform("QMC-III", BINARY, BS)
 
 
-def test_weight_matrix_cached_and_frozen():
+def test_weight_matrix_shapes():
     W1 = weight_matrix(BINARY, BS)
-    W2 = weight_matrix(DELTA, BS)  # same 'average' family
-    assert W1 is W2
-    assert not W1.flags.writeable
     assert W1.shape == (16, 1)
     assert weight_matrix(BARRIER, BS).shape == (16, 16)
 

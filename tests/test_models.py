@@ -13,7 +13,6 @@ from smoothqmc.models import (
     factorization,
     increment_law_for,
     nig_density,
-    nig_mgf,
     nig_numerical_law,
     nominal_dim,
     path_map,
@@ -23,6 +22,8 @@ from smoothqmc.models import (
 from smoothqmc.models import _domain_half_width, _log_increments
 from smoothqmc.points import ScrambleSeed, pseudo_uniform
 from smoothqmc.transforms import identity_transform, mqr_transform, taylor_weight
+
+from oracles import nig_mgf
 
 BS = BlackScholesSpec(s0=100.0, r=0.04, sigma=0.3, T=1.0, m=16)
 NIG = NigSpec(s0=100.0, alpha=105.96, beta=-26.15, mu=1.2528, delta=4.032,
@@ -261,8 +262,9 @@ def test_nig_convolution_closure():
 
 def test_increment_law_cache_and_nominal_dim():
     assert increment_law_for(BS) is increment_law_for(BS)
-    assert increment_law_for(HestonSpec(s0=1, v0=0.04, r=0, theta_bar=0.04,
-                                        nu=1, sigma_v=0.1, rho=0.3)) is None
+    with pytest.raises(TypeError, match="no i.i.d. increment law"):
+        increment_law_for(HestonSpec(s0=1, v0=0.04, r=0, theta_bar=0.04,
+                                     nu=1, sigma_v=0.1, rho=0.3))
     assert nominal_dim(BS) == 16
     assert nominal_dim(HestonSpec(s0=1, v0=0.04, r=0, theta_bar=0.04,
                                   nu=1, sigma_v=0.1, rho=0.3, m=16)) == 32
@@ -370,6 +372,11 @@ def test_spec_validation():
             NigSpec(s0=100, alpha=1.0, beta=0.0, mu=0.0, delta=bad, r=0.0)
         with pytest.raises(ValueError):
             HestonSpec(s0=100, v0=0.2, r=0.0, theta_bar=bad, nu=1.0, sigma_v=0.2, rho=0.5)
+    heston = dict(s0=100, v0=0.2, r=0.0, theta_bar=0.2, nu=1.0, sigma_v=0.2, rho=0.5)
+    for key, bad in (("nu", -1.0), ("theta_bar", -0.2), ("sigma_v", -0.2)):
+        with pytest.raises(ValueError):
+            HestonSpec(**{**heston, key: bad})
+    HestonSpec(**{**heston, "nu": 0.0, "theta_bar": 0.0, "sigma_v": 0.0})  # zero stays valid
 
 
 # ---------------------------------------------------------------------------

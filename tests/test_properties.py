@@ -1,11 +1,12 @@
 """Property tests over random valid model parameters (Hypothesis).
 
-Every drawn model has m <= 4 steps and every batch n = 64 points.  The
-runs are derandomized, so the examples are the same on every run.
+Every drawn model has m <= 4 steps.  Every batch has n = 64 points,
+except in the unbiasedness check, which averages over n = 1024.  The runs
+are derandomized, so the examples are the same on every run.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import special
 
@@ -20,7 +21,7 @@ from smoothqmc.models import (
 )
 from smoothqmc.payoffs import PAYOFF_KINDS, PayoffSpec, build_separable, payoff_value
 from smoothqmc.points import EPS, ScrambleSeed, pseudo_uniform
-from smoothqmc.smoothing import evaluate_indicator, vpo_map
+from smoothqmc.smoothing import evaluate_indicator, evaluate_smoothed, vpo_map
 from smoothqmc.transforms import apply_transform, identity_transform
 
 N = 64
@@ -72,6 +73,26 @@ def test_indicator_matches_payoff_of_direct_paths(data, method, seed):
     direct = payoff_value(payoff, path_map(model, transform)(special.ndtri(u)))
     separated = evaluate_indicator(build_separable(payoff, model, transform), u)
     np.testing.assert_allclose(separated, direct, rtol=1e-10, atol=1e-10)
+
+
+@given(data=st.data(), method=st.sampled_from(["sQMC-I", "sQMC-II"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+@PROPERTY
+def test_smoothed_integrand_is_unbiased_for_the_raw_one(data, method, seed):
+    # the push-out keeps the integral: the paired difference of smoothed
+    # and raw values at the same points has mean zero
+    model = data.draw(models())
+    payoff = data.draw(payoffs(model))
+    transform = method_transform(method, payoff, model)
+    u = pseudo_uniform(1024, nominal_dim(model), ScrambleSeed(seed)).values
+    raw = payoff_value(payoff, path_map(model, transform)(special.ndtri(u)))
+    # every payoff here is nonzero exactly on its payout region; with fewer
+    # than 10 points on one side of it the raw mean misses that side's
+    # share, which the standard error cannot show (all raw values of a
+    # binary payoff are then equal, and the error reads zero)
+    assume(10 <= np.count_nonzero(raw) <= raw.size - 10)
+    diff = evaluate_smoothed(build_separable(payoff, model, transform), u) - raw
+    assert abs(diff.mean()) <= 5.0 * diff.std(ddof=1) / np.sqrt(diff.size)
 
 
 @given(pairs=st.lists(st.tuples(_real(0.0, 1.0), _real(0.0, 1.0)), min_size=1, max_size=N))
