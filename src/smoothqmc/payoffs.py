@@ -115,9 +115,11 @@ def gamma_average(kappa: float, zeta: np.ndarray, law: IncrementLaw) -> np.ndarr
 
 def gamma_extreme(kappas: np.ndarray, zeta: np.ndarray, law: IncrementLaw) -> np.ndarray:
     """Bound for the extreme condition {S_j > kappa_j for all j} over
-    per-step levels kappa_j: u_1 > max_j F_xi(log(kappa_j / zeta_j))."""
-    g = law.cdf(np.log(np.asarray(kappas, dtype=float) / np.asarray(zeta, dtype=float)))
-    return g.max(axis=-1)
+    per-step levels kappa_j: u_1 > max_j F_xi(log(kappa_j / zeta_j)).
+    F_xi and log are monotone, so that is one cdf per path,
+    F_xi(log(max_j kappa_j / zeta_j))."""
+    ratio = np.asarray(kappas, dtype=float) / np.asarray(zeta, dtype=float)
+    return law.cdf(np.log(ratio.max(axis=-1)))
 
 
 def gamma_component(j: int, kappa: float, zeta: np.ndarray, law: IncrementLaw) -> np.ndarray:

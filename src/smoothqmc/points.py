@@ -116,18 +116,33 @@ def _direction_integers(d: int) -> np.ndarray:
 
 def _digital_points(n: int, d: int, start: int, directions: np.ndarray,
                     shift: np.ndarray | None = None) -> np.ndarray:
-    """Gray-code evaluation of net points with indices start..start+n-1."""
+    """Net points with indices start..start+n-1, in Gray-code order.
+
+    Point i XORs the direction columns over the set bits of gray(i) =
+    i ^ (i >> 1).  gray(i) differs from gray(i-1) only in bit ctz(i), the
+    trailing zeros of i, so x_i = x_{i-1} ^ v_{ctz(i)} (Antonov & Saleev,
+    USSR Comput. Math. Math. Phys. 19(1), 1979; Bratley & Fox, ACM TOMS
+    14(1), 1988): row 0 is built from its bits, every later row holds its
+    direction column, and one running XOR turns the rows into points.  XOR
+    is associative, so the shift folded into row 0 reaches every point.
+    """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     if start + n > 2 ** N_BITS:
         raise ValueError("requested indices exceed the 32-bit net")
-    idx = np.arange(start, start + n, dtype=np.uint64)
-    gray = (idx ^ (idx >> np.uint64(1))).astype(np.uint32)
-    x = np.zeros((n, d), dtype=np.uint32)
-    for k in range(int(idx.max()).bit_length()):
-        hit = (gray >> np.uint32(k)) & np.uint32(1)
-        x[hit.astype(bool)] ^= directions[:, k]
+    x = np.empty((n, d), dtype=np.uint32)
+    gray = start ^ (start >> 1)
+    bits = [k for k in range(N_BITS) if gray >> k & 1]
+    x[0] = np.bitwise_xor.reduce(directions[:, bits], axis=1)
     if shift is not None:
-        x ^= shift[None, :]
-    return np.clip(x.astype(np.float64) * EPS, EPS, 1.0 - EPS)
+        x[0] ^= shift
+    idx = np.arange(start + 1, start + n, dtype=np.uint64)
+    ctz = np.bitwise_count((idx & (~idx + np.uint64(1))) - np.uint64(1))
+    # ctz < 32, so "clip" never acts; unlike "raise", it writes into out unbuffered
+    np.take(directions.T, ctz, axis=0, out=x[1:], mode="clip")
+    np.bitwise_xor.accumulate(x, axis=0, out=x)
+    out = x * EPS
+    return np.clip(out, EPS, 1.0 - EPS, out=out)
 
 
 def sobol_raw(n: int, d: int, include_zero: bool = False) -> PointSet:

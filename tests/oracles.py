@@ -4,8 +4,10 @@ A product test function with known ANOVA structure, reached by two
 independent routes: a closed-form ANOVA from the product structure, and a
 tensor composite Gauss-Legendre quadrature that never touches the closed
 form.  Both are exact for this integrand, so agreement to rounding
-validates either route.  And the NIG moment generating function, the
-reference that the closed-form Esscher parameter is checked against.
+validates either route.  The NIG moment generating function, the
+reference that the closed-form Esscher parameter is checked against.  And
+a bit-by-bit Gray-code evaluation of digital-net points, the reference
+for the recurrence in points._digital_points.
 """
 
 import numpy as np
@@ -22,6 +24,21 @@ def nig_mgf(u, alpha, beta, mu, delta):
 
     val = np.exp(delta * (gamma(beta) - gamma(beta + u)) + mu * u)
     return float(val) if val.ndim == 0 else val
+
+
+def gray_code_points(n, start, directions, shift=None):
+    """Net points start..start+n-1 as uint32 integers, one bit at a time:
+    point i XORs directions[:, k] for every set bit k of i ^ (i >> 1), then
+    the shift."""
+    x = np.zeros((n, directions.shape[0]), dtype=np.uint32)
+    for row, i in enumerate(range(start, start + n)):
+        gray = i ^ (i >> 1)
+        for k in range(gray.bit_length()):
+            if gray >> k & 1:
+                x[row] ^= directions[:, k]
+    if shift is not None:
+        x ^= shift
+    return x
 
 
 def g_function(a):

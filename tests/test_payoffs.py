@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from scipy import special
 
+from smoothqmc.estimators import method_transform
 from smoothqmc.models import (
     BlackScholesSpec,
     HestonSpec,
     NigSpec,
     factorization,
     increment_law_for,
+    nominal_dim,
     path_map,
     paths_exp_levy,
 )
@@ -23,7 +25,7 @@ from smoothqmc.payoffs import (
     heston_gamma_extreme,
     payoff_value,
 )
-from smoothqmc.points import ScrambleSeed, pseudo_uniform
+from smoothqmc.points import ScrambleSeed, pseudo_uniform, scrambled_sobol
 from smoothqmc.smoothing import evaluate_indicator
 from smoothqmc.transforms import identity_transform, mqr_transform, qr_transform, taylor_weight
 
@@ -200,6 +202,25 @@ def test_gamma_extreme_matches_survival_probability():
     g = 1.0 - gamma_extreme(levels, _bs_zeta(v, law, BS4.s0), law)
     se = np.hypot(ind.std(ddof=1), g.std(ddof=1)) / np.sqrt(n)
     assert abs(ind.mean() - g.mean()) <= 3 * se
+
+
+@pytest.mark.parametrize("model, n", [
+    (BlackScholesSpec(s0=100.0, r=0.04, sigma=0.3, T=1.0, m=16), 4096),
+    (NigSpec(s0=100.0, alpha=105.96, beta=-26.15, mu=1.2528, delta=4.032, r=0.04, T=1.0, m=16),
+     2 ** 14),
+    (HestonSpec(s0=100.0, v0=0.2, r=0.04, theta_bar=0.2, nu=1.0, sigma_v=0.2, rho=-0.5, m=16),
+     2 ** 14),
+], ids=["BS16", "NIG16", "HES16_NEG"])
+def test_gamma_extreme_is_the_max_of_the_per_date_cdfs(model, n):
+    # one cdf per path equals the per-(path, date) cdfs maximised over dates,
+    # bit for bit, on the sQMC-II barrier 100/90 cell of the acceptance models
+    payoff = PayoffSpec.for_model("barrier-down-out", model, 100.0, 90.0)
+    law, conditional = factorization(model, method_transform("sQMC-II", payoff, model))
+    u = scrambled_sobol(n, nominal_dim(model), ScrambleSeed(12345, 0)).values
+    zeta = conditional(u[:, 1:])
+    kappas = payoff.barrier_levels(model.m)
+    np.testing.assert_array_equal(gamma_extreme(kappas, zeta, law),
+                                  law.cdf(np.log(kappas / zeta)).max(axis=-1))
 
 
 def test_gamma_bounds_stay_in_unit_interval():

@@ -15,8 +15,11 @@ from smoothqmc.points import (
     scramble,
     scrambled_sobol,
     sobol_raw,
+    _digital_points,
     _direction_integers,
 )
+
+from oracles import gray_code_points
 
 
 def test_dimension_one_first_points():
@@ -101,6 +104,35 @@ def test_direction_integers_match_the_full_table():
     v = _direction_integers(1024)
     assert v.shape == (1024, 32) and v.dtype == np.uint32
     assert hashlib.md5(v.tobytes()).hexdigest() == "85d8a61da4c301bd96d4f505554dd8e7"
+
+
+@pytest.mark.parametrize("start", [0, 1, 5, 2 ** 32 - 4097])
+@pytest.mark.parametrize("n", [1, 2, 3, 4097])
+@pytest.mark.parametrize("shifted", [False, True])
+def test_digital_points_match_the_bitwise_gray_code(start, n, shifted):
+    rng = np.random.default_rng([start, n])
+    directions = rng.integers(0, 2 ** 32, size=(5, 32), dtype=np.uint32)
+    shift = rng.integers(0, 2 ** 32, size=5, dtype=np.uint32) if shifted else None
+    ref = np.clip(gray_code_points(n, start, directions, shift) * EPS, EPS, 1.0 - EPS)
+    np.testing.assert_array_equal(_digital_points(n, 5, start, directions, shift), ref)
+
+
+def test_digital_points_stay_inside_the_32_bit_net():
+    directions = _direction_integers(2)
+    assert _digital_points(1, 2, 2 ** 32 - 1, directions).shape == (1, 2)
+    for start, n in ((2 ** 32 - 1, 2), (2 ** 32, 1), (0, 2 ** 32 + 1)):
+        with pytest.raises(ValueError):
+            _digital_points(n, 2, start, directions)
+
+
+@pytest.mark.parametrize("make, digest", [
+    (lambda: scrambled_sobol(4096, 16, ScrambleSeed(12345, 0)), "38beb098926bfc40c184b49380fb588a"),
+    (lambda: scrambled_sobol(1000, 33, ScrambleSeed(7, 3)), "6c349aa8242203580645648624407868"),
+    (lambda: sobol_raw(1023, 5), "1cb1d69b80994d585c2fcfb7dce93998"),
+    (lambda: sobol_raw(1024, 7, include_zero=True), "31201d2b5163a439687d064cf912b616"),
+], ids=["scrambled-4096x16", "scrambled-1000x33", "raw-1023x5", "raw-1024x7-zero"])
+def test_point_sets_match_their_digests(make, digest):
+    assert hashlib.md5(make().values.tobytes()).hexdigest() == digest
 
 
 def test_scramble_seed_validation():

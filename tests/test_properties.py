@@ -2,7 +2,12 @@
 
 Every drawn model has m <= 4 steps.  Every batch has n = 64 points,
 except in the unbiasedness check, which averages over n = 1024.  The runs
-are derandomized, so the examples are the same on every run.
+are derandomized, so the examples are fixed for a given Hypothesis version
+and a given set of collected test modules.  They are not fixed across
+those: Hypothesis adds the literal constants of every local module in
+sys.modules to its draw pool, so running this file alone and running it
+in the whole suite can draw different examples.  The Tier-1 run of the
+whole suite is the one that counts.
 """
 
 import numpy as np
