@@ -7,7 +7,7 @@ leading coordinates (truncation sense) or single coordinates
 
     R_l   = Cov(h(a), h(a_1..l, b_l+1..d)) / Var(h)     truncation ratios
     S_j   = Cov(h(a), h(b with coord j from a)) / Var(h) first-order indices
-    tau_j = (1/2n) sum (h(a) - h(a with coord j from b))^2  total indices
+    tau_j = (1/2n) sum (h(b) - h(b with coord j from a))^2  total indices
 
     d_t  = smallest l with R_l >= p  (truncation dimension)
     d_ms = sum_j tau_j / Var(h)      (mean dimension)
@@ -72,7 +72,8 @@ class DimensionReport:
 def dimension_report(integrand: Integrand, d: int, n: int, seed: int,
                      p: float = 0.99) -> DimensionReport:
     """One-pass report sharing a single (a, b) block pair across the
-    truncation scan, first-order indices, and Jansen total indices."""
+    truncation scan, first-order indices, and Jansen total indices; the
+    last two share their d hybrids, so a report makes 2d + 1 integrand calls."""
     if not 0.0 < p <= 1.0:
         raise ValueError(f"p must be in (0, 1], got {p}")
     a, b = np.hsplit(scrambled_sobol(n, 2 * d, ScrambleSeed(seed)).values, 2)
@@ -86,16 +87,16 @@ def dimension_report(integrand: Integrand, d: int, n: int, seed: int,
     trunc.append(_cov(ha, ha) / var)  # at l = d the hybrid is a itself
     trunc_dim = next((ell for ell, r in enumerate(trunc, start=1) if r >= p), d)
 
+    hb = np.asarray(integrand(b), dtype=float)
     first_order = 0.0
     jansen = 0.0
     for j in range(d):
         hybrid = b.copy()
         hybrid[:, j] = a[:, j]
-        first_order += _cov(ha, np.asarray(integrand(hybrid), dtype=float)) / var
-        hybrid = a.copy()
-        hybrid[:, j] = b[:, j]
-        diff = ha - np.asarray(integrand(hybrid), dtype=float)
-        jansen += float(diff @ diff) / (2.0 * ha.size)
+        h_hybrid = np.asarray(integrand(hybrid), dtype=float)
+        first_order += _cov(ha, h_hybrid) / var
+        diff = hb - h_hybrid
+        jansen += float(diff @ diff) / (2.0 * hb.size)
 
     d_ms = jansen / var
     if not np.all(np.isfinite([*trunc, first_order, d_ms])):

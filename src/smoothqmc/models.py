@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
-from scipy import integrate, interpolate, special
+from scipy import special
 
 from .errors import DistributionBuildError, NoEsscherRootError
 from .transforms import OrthogonalTransform, apply_transform
@@ -212,18 +212,24 @@ _TAIL_DECAYS = 20.0
 
 def _domain_half_width(alpha: float, beta: float, delta: float) -> float:
     """Half-width of the integration grid around mu: 40 delta, widened to
-    _TAIL_DECAYS tail decay lengths when delta is small (fine time grids)."""
+    _TAIL_DECAYS tail decay lengths when delta is small (fine time grids),
+    and to reach 20 standard deviations past the mean mu + delta beta / gamma,
+    which runs off from mu as |beta| nears alpha."""
     decay_rate = alpha - abs(beta)
     if decay_rate <= 0.0:  # no exponential tail; the mass check reports it
         return 40.0 * delta
-    return max(40.0 * delta, _TAIL_DECAYS / decay_rate)
+    gamma = _nig_gamma(alpha, beta)
+    sd = np.sqrt(delta * alpha * alpha / gamma ** 3)
+    return float(max(40.0 * delta, _TAIL_DECAYS / decay_rate,
+                     abs(delta * beta / gamma) + 20.0 * sd))
 
 
 def nig_numerical_law(alpha: float, beta: float, mu: float, delta: float) -> IncrementLaw:
     """One-time numerical construction of cdf/inverse for a NIG law.
 
     The density is integrated by Simpson's rule on a grid spanning
-    mu +/- max(40 delta, 20 / (alpha - |beta|)), spaced as
+    mu +/- max(40 delta, 20 / (alpha - |beta|), |delta beta / gamma| + 20 sd),
+    sd^2 = delta alpha^2 / gamma^3, spaced as
     mu + delta sinh(t) with t uniform, so that it is dense on the peak
     (width delta) and sparse in the tails.  The forward cdf is the cubic
     Hermite interpolant of the grid values with the density as slopes;
@@ -232,6 +238,8 @@ def nig_numerical_law(alpha: float, beta: float, mu: float, delta: float) -> Inc
     strictly increasing (Hoermann & Leydold, ACM TOMACS 13(4), 2003).
     Queries are clamped into the node range.
     """
+    from scipy import integrate, interpolate  # ~0.3 s to import; only NIG pays it
+
     half_width = _domain_half_width(alpha, beta, delta)
     x_lo, x_hi = mu - half_width, mu + half_width
     t_max = np.arcsinh(half_width / delta)

@@ -2,10 +2,15 @@
 
 import csv
 import io
+import os
+import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
+import smoothqmc
 from smoothqmc.cli import ExperimentConfig, main, parse_config
 from smoothqmc.errors import ConfigError
 
@@ -235,6 +240,20 @@ reps: 2
     assert _rows(out)[1][0] == "binary-asian|heston|m=2|rho=-0.5"
 
 
+def test_nig_price_near_the_esscher_edge(tmp_path, capsys):
+    # the tilted beta + theta lies near -alpha, so the step law's mean sits
+    # far from mu; its numerical build used to lose tail mass (exit 3)
+    path = _write(tmp_path, """
+model: {kind: nig, m: 1, s0: 100, alpha: 161.5586, beta: -71.507, mu: 3.9305,
+        delta: 0.3587, r: 0.0057, T: 5}
+n: 64
+reps: 2
+""")
+    code, out, err = _run(capsys, ["price", "--config", path])
+    assert code == 0, err
+    assert len(_rows(out)) == 6
+
+
 def test_nig_logs_esscher_theta_to_stderr(tmp_path, capsys):
     path = _write(tmp_path, """
 model: {kind: nig, m: 4}
@@ -442,3 +461,26 @@ def test_threads_and_seed_validation(tmp_path, capsys):
     assert code == 2
     code, _, _ = _run(capsys, ["price", "--config", path, "--seed", "-1"])
     assert code == 2
+
+
+# ---------------------------------------------------------------------------
+# import cost
+
+
+def test_cli_import_defers_the_nig_build_modules():
+    # scipy.integrate and scipy.interpolate take about a third of a second
+    # to import, and only the NIG law build uses them
+    script = """
+import sys
+import smoothqmc.cli
+lazy = ("scipy.integrate", "scipy.interpolate")
+print(*(name in sys.modules for name in lazy))
+from smoothqmc.models import nig_numerical_law
+nig_numerical_law(4.0, 0.0, 0.0, 1.0)
+print(*(name in sys.modules for name in lazy))
+"""
+    path = [str(pathlib.Path(smoothqmc.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.splitlines() == ["False False", "True True"]

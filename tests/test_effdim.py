@@ -99,8 +99,9 @@ def test_full_prefix_ratio_is_exactly_one():
 
 
 def test_integrand_call_count():
-    # one base evaluation, d - 1 truncation hybrids (at l = d the hybrid is
-    # the base block itself), and d first-order plus d total-index hybrids
+    # the two base blocks, d - 1 truncation hybrids (at l = d the hybrid is
+    # the base block itself), and d hybrids shared by the first-order and
+    # total indices
     calls = []
 
     def counted(u):
@@ -110,7 +111,7 @@ def test_integrand_call_count():
     for d in (1, 2, 5):
         calls.clear()
         report = dimension_report(counted, d, 256, seed=13)
-        assert len(calls) == 3 * d
+        assert len(calls) == 2 * d + 1
         assert len(report.truncation) == d
 
 

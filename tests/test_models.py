@@ -1,5 +1,7 @@
 """Model layer: increment laws, NIG numerics, path construction."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import integrate, optimize, special
@@ -202,8 +204,47 @@ def test_nig_law_builds_at_fine_time_grids():
 
 
 def test_nig16_domain_stays_forty_step_deltas():
-    step_delta = NIG.delta * NIG.dt
-    assert _domain_half_width(NIG.alpha, NIG.beta + NIG.theta, step_delta) == 40.0 * step_delta
+    for m, half_width in ((16, 10.08), (64, 2.52)):
+        spec = dataclasses.replace(NIG, m=m)
+        step_delta = spec.delta * spec.dt
+        width = _domain_half_width(spec.alpha, spec.beta + spec.theta, step_delta)
+        assert width == 40.0 * step_delta
+        assert width == pytest.approx(half_width, rel=1e-12)
+
+
+# Tilted beta + theta near -alpha: the law's mean mu + delta beta / gamma
+# lies far from mu, and a grid centred on mu that spans only 40 delta or
+# 20 tail decays lost mass (integral 0.9999414 and 0.9296708).
+NIG_EDGE = (
+    NigSpec(s0=100.0, alpha=161.5586, beta=-71.507, mu=3.9305, delta=0.3587,
+            r=0.0057, T=5.0, m=1),
+    NigSpec(s0=100.0, alpha=350.87, beta=-237.62, mu=273.38, delta=13.59,
+            r=0.0977, T=5.0, m=16),
+)
+
+
+@pytest.mark.parametrize("spec", NIG_EDGE, ids=["m1", "m16"])
+def test_nig_law_builds_with_its_mean_far_from_mu(spec):
+    law = increment_law_for.__wrapped__(spec)  # uncached
+    u = np.linspace(1e-6, 1 - 1e-6, 10_001)
+    assert np.max(np.abs(law.cdf(law.inv(u)) - u)) <= 1e-8
+
+
+def test_nig_law_builds_near_the_esscher_edge():
+    # c = (r - mu) / delta a factor 1 - 10^-u inside the edge sqrt(2 alpha - 1)
+    # past which no Esscher root exists; the build checks its own 1e-8
+    # round trip and raises DistributionBuildError when any check fails
+    rng = np.random.default_rng(2024)
+    for _ in range(60):
+        alpha = float(np.exp(rng.uniform(0.0, np.log(400.0))))
+        delta = float(np.exp(rng.uniform(np.log(0.05), np.log(20.0))))
+        r = float(rng.uniform(0.0, 0.1))
+        edge = np.sqrt(2.0 * alpha - 1.0)
+        c = rng.choice([-1.0, 1.0]) * (1.0 - 10.0 ** -rng.uniform(1.0, 6.0)) * edge
+        spec = NigSpec(s0=100.0, alpha=alpha, beta=float(rng.uniform(-0.9, 0.9)) * alpha,
+                       mu=float(r - c * delta), delta=delta, r=r, T=float(rng.uniform(0.5, 5.0)),
+                       m=int(rng.choice([1, 16, 256])))
+        increment_law_for.__wrapped__(spec)
 
 
 def test_nig_inverse_symmetric_median():
