@@ -138,11 +138,8 @@ def run(method: str, payoff: PayoffSpec, model: ModelSpec, n: int, reps: int,
         return float(integrand(pts.values).mean())
 
     t0 = time.perf_counter()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            means = np.fromiter(pool.map(one, range(reps)), dtype=float, count=reps)
-    else:
-        means = np.fromiter(map(one, range(reps)), dtype=float, count=reps)
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        means = np.fromiter(pool.map(one, range(reps)), dtype=float, count=reps)
     wall = time.perf_counter() - t0
     if not np.all(np.isfinite(means)):
         raise NumericalError(f"{method} {payoff.kind}: non-finite replicate mean "
