@@ -27,6 +27,7 @@ from .estimators import (
 )
 from .models import (
     BlackScholesSpec,
+    BuildResiduals,
     HestonSpec,
     IncrementLaw,
     ModelSpec,

@@ -28,6 +28,7 @@ __all__ = [
     "HestonSpec",
     "ModelSpec",
     "IncrementLaw",
+    "BuildResiduals",
     "gaussian_law",
     "nig_density",
     "esscher_theta",
@@ -138,19 +139,31 @@ class HestonSpec:
 ModelSpec = Union[BlackScholesSpec, NigSpec, HestonSpec]
 
 
+@dataclass(frozen=True)
+class BuildResiduals:
+    """Residuals of a numerical law build: |mass - 1| of the integrated
+    density before it is normalized, the largest |F(F^-1(u)) - u| on the
+    build's check grid, and the number of interpolation nodes."""
+
+    mass_error: float
+    round_trip: float
+    nodes: int
+
+
 @dataclass(frozen=True, eq=False)
 class IncrementLaw:
-    """CDF and inverse of one i.i.d. log-return increment.
+    """CDF, inverse and normal-space map of one i.i.d. log-return increment.
 
-    Gaussian laws carry mean and scale: their affine representation
-    x = mean + scale * z is exact and path generation uses it directly.
-    Other laws leave both None, and paths go through inv(Phi(z)).
+    normal(y) is the increment whose cdf equals Phi(y), F^-1(Phi(y)), the
+    map path generation applies to transformed normal coordinates.
+    Numerically built laws carry the residuals of their build; exact
+    (Gaussian) laws leave them None.
     """
 
     cdf: Callable[[np.ndarray], np.ndarray]
     inv: Callable[[np.ndarray], np.ndarray]
-    mean: float | None = None
-    scale: float | None = None
+    normal: Callable[[np.ndarray], np.ndarray]
+    residuals: BuildResiduals | None = None
 
 
 def gaussian_law(mean: float, scale: float) -> IncrementLaw:
@@ -162,7 +175,10 @@ def gaussian_law(mean: float, scale: float) -> IncrementLaw:
     def inv(u):
         return mean + scale * special.ndtri(np.asarray(u, dtype=float))
 
-    return IncrementLaw(cdf=cdf, inv=inv, mean=mean, scale=scale)
+    def normal(y):
+        return mean + scale * np.asarray(y, dtype=float)
+
+    return IncrementLaw(cdf=cdf, inv=inv, normal=normal)
 
 
 def _nig_gamma(alpha: float, beta: float) -> float:
@@ -196,13 +212,16 @@ def esscher_theta(alpha: float, beta: float, mu: float, delta: float, r: float) 
 
 
 # ---------------------------------------------------------------------------
-# numerical inverse CDF for the NIG increment
+# numerical NIG increment law
 
 
 _GRID_POINTS = 2 ** 17 + 1
-# Inverse nodes below this cdf value are dropped, so that every slope 1/f
-# of the inverse spline stays finite.
-_CDF_FLOOR = 1e-50
+# The law is interpolated in normal space on these z nodes, spaced 1/64.
+# They reach past |z| <= 6.23, the range of the Sobol' and MC points
+# (clamped to [2^-32, 1 - 2^-32]), and Phi(-8) = 6.2e-16.
+_Z_NODES = np.linspace(-8.0, 8.0, 1025)
+# Newton steps that polish each node from its secant start.
+_NEWTON_STEPS = 2
 # The NIG tails decay like exp(-(alpha - |beta|) |x|) whatever delta is;
 # a half-width of _TAIL_DECAYS decay lengths leaves less than 1e-10 of the
 # mass outside the grid (measured for delta from 2e-4 to 0.25 and
@@ -224,57 +243,103 @@ def _domain_half_width(alpha: float, beta: float, delta: float) -> float:
                      abs(delta * beta / gamma) + 20.0 * sd))
 
 
+def _tail_quantiles(x, tail, density, p):
+    """The points t with tail(t) = p, where tail is the integral of density
+    from the left, tabulated non-decreasing on the grid x with tail[0] = 0.
+
+    Each t starts from the secant of its grid interval and takes Newton
+    steps on tail(x_j) plus a Simpson integral of density over [x_j, t],
+    kept inside the interval.
+    """
+    j = np.searchsorted(tail, p) - 1  # tail[j] < p <= tail[j + 1]
+    a, b, base = x[j], x[j + 1], tail[j]
+    f_a = density(a)
+    t = a + (p - base) / (tail[j + 1] - base) * (b - a)
+    for _ in range(_NEWTON_STEPS):
+        f_t = density(t)
+        area = base + (t - a) / 6.0 * (f_a + 4.0 * density(0.5 * (a + t)) + f_t)
+        t = np.clip(t - (area - p) / f_t, a, b)
+    return t
+
+
 def nig_numerical_law(alpha: float, beta: float, mu: float, delta: float) -> IncrementLaw:
-    """One-time numerical construction of cdf/inverse for a NIG law.
+    """One-time numerical construction of a NIG law in normal space.
 
     The density is integrated by Simpson's rule on a grid spanning
     mu +/- max(40 delta, 20 / (alpha - |beta|), |delta beta / gamma| + 20 sd),
-    sd^2 = delta alpha^2 / gamma^3, spaced as
-    mu + delta sinh(t) with t uniform, so that it is dense on the peak
-    (width delta) and sparse in the tails.  The forward cdf is the cubic
-    Hermite interpolant of the grid values with the density as slopes;
-    the inverse is the same interpolant with the axes swapped, slopes
-    1/density, on the grid nodes where the cdf is at least 1e-50 and
-    strictly increasing (Hoermann & Leydold, ACM TOMACS 13(4), 2003).
-    Queries are clamped into the node range.
+    sd^2 = delta alpha^2 / gamma^3, spaced as mu + delta sinh(t) with t
+    uniform, so that it is dense on the peak (width delta) and sparse in
+    the tails.  The cdf F is integrated forward from the bottom of the
+    grid up to the mode, and the survival function 1 - F backward from
+    the top, so each tail keeps its relative precision.  The grid only
+    places the nodes x_k = F^-1(Phi(z_k)) on 1025 uniform z_k in [-8, 8]:
+    nodes with z_k > 0 solve 1 - F(x_k) = Phi(-z_k), and every node is
+    polished by Newton steps on the density itself.  Two cubic Hermite
+    splines on these nodes carry the law (Hoermann & Leydold, ACM TOMACS
+    13(4), 2003, in normal space): G(z) = F^-1(Phi(z)) with slopes
+    phi(z_k) / f(x_k), the normal map, and H(x) = Phi^-1(F(x)) with
+    slopes f(x_k) / phi(z_k), so that inv(u) = G(Phi^-1(u)) and
+    cdf(x) = Phi(H(x)).  G and inv clamp onto the outermost nodes; cdf is
+    exactly 0 and 1 outside them.
     """
     from scipy import integrate, interpolate  # ~0.3 s to import; only NIG pays it
 
     half_width = _domain_half_width(alpha, beta, delta)
-    x_lo, x_hi = mu - half_width, mu + half_width
     t_max = np.arcsinh(half_width / delta)
     x_grid = mu + delta * np.sinh(np.linspace(-t_max, t_max, _GRID_POINTS))
     pdf_grid = nig_density(x_grid, alpha, beta, mu, delta)
-    cdf_grid = integrate.cumulative_simpson(pdf_grid, x=x_grid, initial=0.0)
-    mass = cdf_grid[-1]
+    split = int(np.clip(np.argmax(pdf_grid), 2, _GRID_POINTS - 3))
+    below = integrate.cumulative_simpson(pdf_grid[:split + 1], x=x_grid[:split + 1],
+                                         initial=0.0)
+    above = integrate.cumulative_simpson(pdf_grid[:split - 1:-1], x=-x_grid[:split - 1:-1],
+                                         initial=0.0)
+    mass = below[-1] + above[-1]
     if abs(mass - 1.0) > 1e-6:
         raise DistributionBuildError(
             f"tail mass not bracketed on mu +/- {half_width:.6g}: integral = {mass:.9f}"
         )
-    cdf_grid = cdf_grid / mass
-    pdf_norm = pdf_grid / mass
-    if np.any(np.diff(cdf_grid) < 0.0):
+    if np.any(np.diff(below) < 0.0) or np.any(np.diff(above) < 0.0):
         raise DistributionBuildError("cumulative integral is not monotone")
-    spline = interpolate.CubicHermiteSpline(x_grid, cdf_grid, pdf_norm)
+    # F on the grid from the bottom, and 1 - F on the mirrored grid -x
+    # from the top; each is exact in its own tail and 1 minus the other
+    # elsewhere
+    cdf_grid = np.concatenate([below, mass - above[-2::-1]]) / mass
+    sf_grid = np.concatenate([above, mass - below[-2::-1]]) / mass
+
+    def density(x):
+        return nig_density(x, alpha, beta, mu, delta) / mass
+
+    lower = _Z_NODES <= 0.0
+    x_nodes = np.concatenate([
+        _tail_quantiles(x_grid, cdf_grid, density, special.ndtr(_Z_NODES[lower])),
+        -_tail_quantiles(-x_grid[::-1], sf_grid, lambda t: density(-t),
+                         special.ndtr(-_Z_NODES[~lower])),
+    ])
+    if not np.all(np.diff(x_nodes) > 0.0):
+        raise DistributionBuildError("interpolation nodes are not strictly increasing")
+    slope = np.exp(-0.5 * _Z_NODES ** 2) / np.sqrt(2.0 * np.pi) / density(x_nodes)  # phi / f
+    to_x = interpolate.CubicHermiteSpline(_Z_NODES, x_nodes, slope)
+    to_z = interpolate.CubicHermiteSpline(x_nodes, _Z_NODES, 1.0 / slope)
+    z_lo, z_hi, x_lo, x_hi = _Z_NODES[0], _Z_NODES[-1], x_nodes[0], x_nodes[-1]
+
+    def normal(y):
+        return to_x(np.clip(np.asarray(y, dtype=float), z_lo, z_hi))
+
+    def inv(u):
+        return normal(special.ndtri(np.asarray(u, dtype=float)))
 
     def cdf(x):
         x = np.asarray(x, dtype=float)
-        out = np.clip(spline(np.clip(x, x_lo, x_hi)), 0.0, 1.0)
+        out = special.ndtr(to_z(np.clip(x, x_lo, x_hi)))
         return np.where(x <= x_lo, 0.0, np.where(x >= x_hi, 1.0, out))
 
-    # strictly increasing nodes: the first of each run of equal cdf values
-    keep = np.concatenate([[True], np.diff(cdf_grid) > 0.0]) & (cdf_grid >= _CDF_FLOOR)
-    p_nodes = cdf_grid[keep]
-    inverse = interpolate.CubicHermiteSpline(p_nodes, x_grid[keep], 1.0 / pdf_norm[keep])
-
-    def inv(u):
-        return inverse(np.clip(np.asarray(u, dtype=float), p_nodes[0], p_nodes[-1]))
-
     check = np.linspace(1e-6, 1.0 - 1e-6, 10_000)
-    err = np.abs(cdf(inv(check)) - check).max()
+    err = float(np.abs(cdf(inv(check)) - check).max())
     if err > 1e-8:
         raise DistributionBuildError(f"inverse round-trip error {err:.3e} exceeds 1e-8")
-    return IncrementLaw(cdf=cdf, inv=inv)
+    residuals = BuildResiduals(mass_error=float(abs(mass - 1.0)), round_trip=err,
+                               nodes=_Z_NODES.size)
+    return IncrementLaw(cdf=cdf, inv=inv, normal=normal, residuals=residuals)
 
 
 @functools.lru_cache(maxsize=32)
@@ -305,20 +370,11 @@ def nominal_dim(model: ModelSpec) -> int:
 def paths_exp_levy(law: IncrementLaw, s0: float, z: np.ndarray,
                    transform: OrthogonalTransform) -> np.ndarray:
     """Price paths S_i = s0 exp(x_1 + ... + x_i) from an (N, m) batch of
-    normal coordinates z.
-
-    Gaussian laws use x = mean + scale * (Uz); other laws map each
-    transformed coordinate through inv(Phi(.)).
+    normal coordinates z: the increments are law.normal of the
+    transformed coordinates Uz.
     """
     y = apply_transform(transform, np.asarray(z, dtype=float))
-    return s0 * np.exp(np.cumsum(_log_increments(law, y), axis=1))
-
-
-def _log_increments(law: IncrementLaw, y: np.ndarray) -> np.ndarray:
-    """Log-return increments from transformed normal coordinates y."""
-    if law.scale is not None:
-        return law.mean + law.scale * y
-    return law.inv(special.ndtr(y))
+    return s0 * np.exp(np.cumsum(law.normal(y), axis=1))
 
 
 def paths_heston(spec: HestonSpec, z: np.ndarray, transform: OrthogonalTransform) -> np.ndarray:
@@ -332,20 +388,22 @@ def paths_heston(spec: HestonSpec, z: np.ndarray, transform: OrthogonalTransform
     z = np.asarray(z, dtype=float)
     if z.shape[1] != spec.d:
         raise ValueError(f"Heston needs 2m = {spec.d} coordinates, got {z.shape[1]}")
-    y = apply_transform(transform, z)
-    z_asset, z_var = y[:, 0::2], y[:, 1::2]
+    # one row per coordinate, so each step reads contiguous memory
+    y = np.ascontiguousarray(apply_transform(transform, z).T)
+    z_asset, z_var = y[0::2], y[1::2]
     n = z.shape[0]
     dt, rho = spec.dt, spec.rho
     rho_hat = np.sqrt(1.0 - rho ** 2)
     v = np.full(n, spec.v0)
     log_s = np.full(n, np.log(spec.s0))
-    out = np.empty((n, spec.m))
+    out = np.empty((spec.m, n))
     for i in range(spec.m):
         vol = np.sqrt(np.maximum(v, 0.0) * dt)
-        log_s = log_s + (spec.r - 0.5 * v) * dt + vol * (rho_hat * z_asset[:, i] + rho * z_var[:, i])
-        out[:, i] = log_s
-        v = v + spec.nu * (spec.theta_bar - v) * dt + spec.sigma_v * vol * z_var[:, i]
-    return np.exp(out)
+        log_s = log_s + (spec.r - 0.5 * v) * dt + vol * (rho_hat * z_asset[i] + rho * z_var[i])
+        out[i] = log_s
+        v = v + spec.nu * (spec.theta_bar - v) * dt + spec.sigma_v * vol * z_var[i]
+    np.exp(out, out=out)
+    return np.ascontiguousarray(out.T)
 
 
 def path_map(model: ModelSpec,
@@ -390,6 +448,6 @@ def factorization(model: ModelSpec, transform: OrthogonalTransform
         if rotation is not None:
             y = y @ rotation
         log_zeta = np.zeros((y.shape[0], model.m))
-        np.cumsum(_log_increments(law, y), axis=1, out=log_zeta[:, 1:])
+        np.cumsum(law.normal(y), axis=1, out=log_zeta[:, 1:])
         return model.s0 * np.exp(log_zeta)
     return law, zeta

@@ -49,18 +49,24 @@ def _conditioned(problem: SeparableProblem, u):
     return u[:, 0], state, problem.lower(state)
 
 
-def evaluate_smoothed(problem: SeparableProblem, u: np.ndarray) -> np.ndarray:
-    """Smoothed integrand values at the uniform points u of shape (N, d)."""
-    u1, state, g1 = _conditioned(problem, u)
+def _smoothed(problem: SeparableProblem, u1, state, g1) -> np.ndarray:
     pushed, weight = vpo_map(u1, g1)
     return weight * problem.factor(pushed, state)
+
+
+def _indicator(problem: SeparableProblem, u1, state, g1) -> np.ndarray:
+    return np.where(u1 > g1, problem.factor(u1, state), 0.0)
+
+
+def evaluate_smoothed(problem: SeparableProblem, u: np.ndarray) -> np.ndarray:
+    """Smoothed integrand values at the uniform points u of shape (N, d)."""
+    return _smoothed(problem, *_conditioned(problem, u))
 
 
 def evaluate_indicator(problem: SeparableProblem, u: np.ndarray) -> np.ndarray:
     """Raw (unsmoothed) integrand through the separated form, for
     equivalence checks against the direct path-payoff route."""
-    u1, state, g1 = _conditioned(problem, u)
-    return np.where(u1 > g1, problem.factor(u1, state), 0.0)
+    return _indicator(problem, *_conditioned(problem, u))
 
 
 @dataclass(frozen=True)
@@ -85,11 +91,12 @@ def variance_bound_check(problem: SeparableProblem, n: int, seed: int) -> Varian
     """Monte Carlo check of Var(h~) <= c * Var(h) with c = sup(1 - Gamma),
     allowing three-standard-error slack on both variance estimates."""
     u = pseudo_uniform(n, problem.d, ScrambleSeed(seed)).values
-    raw = evaluate_indicator(problem, u)
-    smoothed = evaluate_smoothed(problem, u)
+    conditioned = _conditioned(problem, u)  # one conditional path for all three
+    raw = _indicator(problem, *conditioned)
+    smoothed = _smoothed(problem, *conditioned)
     var_raw = float(np.var(raw, ddof=1))
     var_smoothed = float(np.var(smoothed, ddof=1))
-    c_hat = float(1.0 - _conditioned(problem, u)[2].min())
+    c_hat = float(1.0 - conditioned[2].min())
     slack = 3.0 * float(np.hypot(_variance_se(smoothed), c_hat * _variance_se(raw)))
     satisfied = var_smoothed <= c_hat * var_raw + slack
     return VarianceBoundReport(var_raw=var_raw, var_smoothed=var_smoothed,

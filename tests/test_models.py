@@ -21,7 +21,7 @@ from smoothqmc.models import (
     paths_exp_levy,
     paths_heston,
 )
-from smoothqmc.models import _domain_half_width, _log_increments
+from smoothqmc.models import _domain_half_width
 from smoothqmc.points import ScrambleSeed, pseudo_uniform
 from smoothqmc.transforms import identity_transform, mqr_transform, taylor_weight
 
@@ -38,8 +38,9 @@ NIG = NigSpec(s0=100.0, alpha=105.96, beta=-26.15, mu=1.2528, delta=4.032,
 
 def test_bs_increment_parameters():
     law = increment_law_for(BS)
-    assert law.mean == pytest.approx((0.04 - 0.045) / 16, abs=1e-15)
-    assert law.scale == pytest.approx(0.075, abs=1e-15)
+    assert law.normal(0.0) == pytest.approx((0.04 - 0.045) / 16, abs=1e-15)
+    assert law.normal(1.0) - law.normal(0.0) == pytest.approx(0.075, abs=1e-15)
+    assert law.residuals is None  # exact law, nothing built
     sym = increment_law_for(BlackScholesSpec(s0=1.0, r=0.045, sigma=0.3, T=1.0, m=16))
     assert sym.cdf(0.0) == pytest.approx(0.5, abs=1e-14)
 
@@ -51,9 +52,9 @@ def test_bs_round_trip():
     # narrow per-step law: same identity inside its representable range
     law = increment_law_for(BS)
     for k in (-3.0, -1.0, 0.0, 1.0, 3.0):
-        x = law.mean + k * law.scale
+        x = law.normal(k)
         assert law.inv(law.cdf(x)) == pytest.approx(x, abs=1e-12)
-    x = law.mean + 5.0 * law.scale  # tails lose a couple of digits to cdf conditioning
+    x = law.normal(5.0)  # tails lose a couple of digits to cdf conditioning
     assert law.inv(law.cdf(x)) == pytest.approx(x, abs=1e-9)
 
 
@@ -261,10 +262,40 @@ def test_nig_inverse_monotone_and_extreme_arguments():
 
 
 def test_nig_law_is_not_affine():
+    # paths take their increments from the normal-space map G = F^-1(Phi),
+    # which agrees with inverting Phi(y) and is not affine in y
     law = increment_law_for(NIG)
-    assert law.mean is None and law.scale is None
-    y = np.linspace(-6.0, 6.0, 7)[None, :]
-    np.testing.assert_array_equal(_log_increments(law, y), law.inv(special.ndtr(y)))
+    y = np.linspace(-4.0, 4.0, 16)[None, :]
+    x = law.normal(y)
+    paths = paths_exp_levy(law, 1.0, y, identity_transform(16))
+    np.testing.assert_array_equal(paths, np.exp(np.cumsum(x, axis=1)))
+    assert np.max(np.abs(x - law.inv(special.ndtr(y)))) <= 1e-10
+    assert np.ptp(np.diff(x)) > 1e-3
+
+
+def test_nig_normal_map_tail_mass():
+    # the mass beyond G(z) against adaptive quadrature of the density:
+    # F(G(z)) = Phi(z) below the median, 1 - F(G(z)) = Phi(-z) above it
+    law = increment_law_for(NIG)
+    args = (NIG.alpha, NIG.beta + NIG.theta, NIG.mu * NIG.dt, NIG.delta * NIG.dt)
+    mu, half_width = args[2], _domain_half_width(args[0], args[1], args[3])
+    for z in (-7.0, -5.0, 0.0, 5.0, 6.0, 6.23, 7.0):
+        x = float(law.normal(np.array([z]))[0])
+        lo, hi = (mu - half_width, x) if z <= 0 else (x, mu + half_width)
+        tail, _ = integrate.quad(nig_density, lo, hi, args=args, points=[mu],
+                                 limit=500, epsabs=0.0, epsrel=1e-13)
+        assert abs(tail / special.ndtr(-abs(z)) - 1.0) <= 1e-9, z
+
+
+def test_nig_build_residuals():
+    law = increment_law_for(NIG)
+    assert law.residuals.nodes == 1025
+    assert law.residuals.round_trip <= 1e-8
+    assert law.residuals.mass_error <= 1e-6
+    # outside the nodes the cdf is exactly 0 and 1
+    x_lo, x_hi = law.normal(np.array([-np.inf, np.inf]))
+    np.testing.assert_array_equal(law.cdf(np.array([x_lo - 1.0, x_lo, x_hi, x_hi + 1.0])),
+                                  [0.0, 0.0, 1.0, 1.0])
 
 
 def test_nig_sampling_matches_density():

@@ -34,7 +34,7 @@ SYM4 = BlackScholesSpec(s0=100.0, r=0.045, sigma=0.3, T=1.0, m=4)  # a = 0
 
 
 def _bs_x_rest(u_rest, law):
-    return law.mean + law.scale * special.ndtri(u_rest)
+    return law.normal(special.ndtri(u_rest))
 
 
 def _zeta(x_rest, s0):
@@ -257,7 +257,7 @@ def test_conditional_paths_match_zero_first_increment():
     z = np.zeros((64, 4))
     z[:, 1:] = special.ndtri(v)
     S0 = paths_exp_levy(law, BS4.s0, z, pinned)  # first increment x_1 = a
-    np.testing.assert_allclose(factorization(BS4, pinned)[1](v), S0 / np.exp(law.mean),
+    np.testing.assert_allclose(factorization(BS4, pinned)[1](v), S0 / np.exp(law.normal(0.0)),
                                rtol=1e-13)
 
 

@@ -1,5 +1,7 @@
 """Push-out smoothing: the map itself, smoothed evaluation, variance bound."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import special
@@ -15,6 +17,7 @@ from smoothqmc.models import (
 from smoothqmc.payoffs import PayoffSpec, SeparableProblem, build_separable
 from smoothqmc.points import EPS, ScrambleSeed, pseudo_uniform
 from smoothqmc.smoothing import (
+    _variance_se,
     evaluate_indicator,
     evaluate_smoothed,
     variance_bound_check,
@@ -172,6 +175,29 @@ def test_variance_bound_barrier():
                                   n=20_000, seed=13)
     assert report.bound_satisfied
     assert report.var_smoothed < report.var_raw
+
+
+def test_variance_bound_builds_one_conditional_path():
+    # one conditional path per call, and the report that separate raw,
+    # smoothed and bound evaluations of the same points give
+    problem = _problem("barrier-down-out", barrier=90.0)
+    calls = []
+
+    def conditional(v):
+        calls.append(len(v))
+        return problem.conditional(v)
+
+    report = variance_bound_check(dataclasses.replace(problem, conditional=conditional),
+                                  n=4096, seed=14)
+    assert calls == [4096]
+    u = pseudo_uniform(4096, problem.d, ScrambleSeed(14)).values
+    raw, smoothed = evaluate_indicator(problem, u), evaluate_smoothed(problem, u)
+    c_hat = float(1.0 - problem.lower_bound(u[:, 1:]).min())
+    assert report.var_raw == float(np.var(raw, ddof=1))
+    assert report.var_smoothed == float(np.var(smoothed, ddof=1))
+    assert report.c_hat == c_hat
+    assert report.slack == 3.0 * float(np.hypot(_variance_se(smoothed), c_hat * _variance_se(raw)))
+    assert report.bound_satisfied
 
 
 # ---------------------------------------------------------------------------
