@@ -23,7 +23,7 @@ from smoothqmc.models import (
 )
 from smoothqmc.models import _domain_half_width
 from smoothqmc.points import ScrambleSeed, pseudo_uniform
-from smoothqmc.transforms import identity_transform, mqr_transform, taylor_weight
+from smoothqmc.transforms import apply_transform, identity_transform, mqr_transform, taylor_weight
 
 from oracles import nig_mgf
 
@@ -407,6 +407,31 @@ def test_heston_drift_only_path():
         expected.append(np.exp(log_s))
         v += hes.nu * (hes.theta_bar - v) * dt
     assert np.max(np.abs(S - np.array(expected))) <= 1e-12
+
+
+def test_heston_paths_match_the_column_loop():
+    # the log-Euler recursion on the columns of the (N, 2m) batch; the
+    # row-major loop of paths_heston gives the same bits, in C order
+    hes = HestonSpec(s0=100.0, v0=0.04, r=0.04, theta_bar=0.04, nu=1.0,
+                     sigma_v=1.0, rho=-0.5, m=8)
+    transform = mqr_transform(taylor_weight(
+        lambda z: paths_heston(hes, z, identity_transform(16)), "average", 16))
+    z = np.random.default_rng(35).normal(size=(300, 16))
+    y = apply_transform(transform, z)
+    rho_hat = np.sqrt(1.0 - hes.rho ** 2)
+    v, log_s = np.full(300, hes.v0), np.full(300, np.log(hes.s0))
+    out, truncated = np.empty((300, hes.m)), 0
+    for i in range(hes.m):
+        truncated += np.count_nonzero(v < 0.0)
+        vol = np.sqrt(np.maximum(v, 0.0) * hes.dt)
+        log_s = log_s + (hes.r - 0.5 * v) * hes.dt + vol * (rho_hat * y[:, 2 * i]
+                                                            + hes.rho * y[:, 2 * i + 1])
+        out[:, i] = log_s
+        v = v + hes.nu * (hes.theta_bar - v) * hes.dt + hes.sigma_v * vol * y[:, 2 * i + 1]
+    assert truncated > 0  # the full-truncation branch is exercised
+    S = paths_heston(hes, z, transform)
+    assert S.flags.c_contiguous
+    np.testing.assert_array_equal(S, np.exp(out))
 
 
 def test_heston_first_shock_factorization():
