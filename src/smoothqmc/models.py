@@ -152,33 +152,35 @@ class BuildResiduals:
 
 @dataclass(frozen=True, eq=False)
 class IncrementLaw:
-    """CDF, inverse and normal-space map of one i.i.d. log-return increment.
+    """One i.i.d. log-return increment as a monotone map of a standard normal.
 
-    normal(y) is the increment whose cdf equals Phi(y), F^-1(Phi(y)), the
-    map path generation applies to transformed normal coordinates.
+    normal(y) = F^-1(Phi(y)) maps normal coordinates to increments and
+    to_normal(x) = Phi^-1(F(x)) maps back; cdf and inv follow from the pair.
     Numerically built laws carry the residuals of their build; exact
     (Gaussian) laws leave them None.
     """
 
-    cdf: Callable[[np.ndarray], np.ndarray]
-    inv: Callable[[np.ndarray], np.ndarray]
     normal: Callable[[np.ndarray], np.ndarray]
+    to_normal: Callable[[np.ndarray], np.ndarray]
     residuals: BuildResiduals | None = None
+
+    def cdf(self, x) -> np.ndarray:
+        return special.ndtr(self.to_normal(x))
+
+    def inv(self, u) -> np.ndarray:
+        return self.normal(special.ndtri(np.asarray(u, dtype=float)))
 
 
 def gaussian_law(mean: float, scale: float) -> IncrementLaw:
-    """The normal law N(mean, scale^2)."""
-
-    def cdf(x):
-        return special.ndtr((np.asarray(x, dtype=float) - mean) / scale)
-
-    def inv(u):
-        return mean + scale * special.ndtri(np.asarray(u, dtype=float))
+    """N(mean, scale^2): the affine maps mean + scale y and (x - mean) / scale."""
 
     def normal(y):
         return mean + scale * np.asarray(y, dtype=float)
 
-    return IncrementLaw(cdf=cdf, inv=inv, normal=normal)
+    def to_normal(x):
+        return (np.asarray(x, dtype=float) - mean) / scale
+
+    return IncrementLaw(normal=normal, to_normal=to_normal)
 
 
 def _nig_gamma(alpha: float, beta: float) -> float:
@@ -278,9 +280,9 @@ def nig_numerical_law(alpha: float, beta: float, mu: float, delta: float) -> Inc
     splines on these nodes carry the law (Hoermann & Leydold, ACM TOMACS
     13(4), 2003, in normal space): G(z) = F^-1(Phi(z)) with slopes
     phi(z_k) / f(x_k), the normal map, and H(x) = Phi^-1(F(x)) with
-    slopes f(x_k) / phi(z_k), so that inv(u) = G(Phi^-1(u)) and
-    cdf(x) = Phi(H(x)).  G and inv clamp onto the outermost nodes; cdf is
-    exactly 0 and 1 outside them.
+    slopes f(x_k) / phi(z_k), the map to_normal; the law is the pair
+    (G, H).  G clamps onto the outermost nodes, and H is -inf and +inf at
+    and past them, so the cdf Phi(H) is exactly 0 and 1 there.
     """
     from scipy import integrate, interpolate  # ~0.3 s to import; only NIG pays it
 
@@ -325,21 +327,18 @@ def nig_numerical_law(alpha: float, beta: float, mu: float, delta: float) -> Inc
     def normal(y):
         return to_x(np.clip(np.asarray(y, dtype=float), z_lo, z_hi))
 
-    def inv(u):
-        return normal(special.ndtri(np.asarray(u, dtype=float)))
-
-    def cdf(x):
+    def to_normal(x):
         x = np.asarray(x, dtype=float)
-        out = special.ndtr(to_z(np.clip(x, x_lo, x_hi)))
-        return np.where(x <= x_lo, 0.0, np.where(x >= x_hi, 1.0, out))
+        z = to_z(np.clip(x, x_lo, x_hi))
+        return np.where(x <= x_lo, -np.inf, np.where(x >= x_hi, np.inf, z))
 
+    law = IncrementLaw(normal=normal, to_normal=to_normal)
     check = np.linspace(1e-6, 1.0 - 1e-6, 10_000)
-    err = float(np.abs(cdf(inv(check)) - check).max())
+    err = float(np.abs(law.cdf(law.inv(check)) - check).max())
     if err > 1e-8:
         raise DistributionBuildError(f"inverse round-trip error {err:.3e} exceeds 1e-8")
-    residuals = BuildResiduals(mass_error=float(abs(mass - 1.0)), round_trip=err,
-                               nodes=_Z_NODES.size)
-    return IncrementLaw(cdf=cdf, inv=inv, normal=normal, residuals=residuals)
+    return dataclasses.replace(law, residuals=BuildResiduals(
+        mass_error=float(abs(mass - 1.0)), round_trip=err, nodes=_Z_NODES.size))
 
 
 @functools.lru_cache(maxsize=32)
@@ -421,7 +420,8 @@ def factorization(model: ModelSpec, transform: OrthogonalTransform
 
     Returns the law of xi and the map u_{2:d} -> zeta, the (N, m) path at
     a zero first log-shock.  For the exponential-Levy models xi = x_1 and
-    zeta_i = s0 exp(x_2 + ... + x_i).  For Heston xi = c z_1 with
+    zeta_i = s0 exp(x_2 + ... + x_i), s0 then the paths_exp_levy path of
+    u_{2:d} under the trailing block of U.  For Heston xi = c z_1 with
     c = sqrt((1 - rho^2) v0 dt), the asset-specific shock of the first
     log-Euler step and the only place z_1 enters the path; zeta is the
     path at z_1 = 0.  The factorization needs the transform to pin the
@@ -441,13 +441,11 @@ def factorization(model: ModelSpec, transform: OrthogonalTransform
         return gaussian_law(0.0, c), zeta
 
     law = increment_law_for(model)
-    rotation = transform.U[1:, 1:].T if transform.kind == "mqr" else None
+    rest = OrthogonalTransform(transform.U[1:, 1:],
+                               "identity" if transform.kind == "identity" else "qr")
 
     def zeta(v):
         y = special.ndtri(np.atleast_2d(np.asarray(v, dtype=float)))
-        if rotation is not None:
-            y = y @ rotation
-        log_zeta = np.zeros((y.shape[0], model.m))
-        np.cumsum(law.normal(y), axis=1, out=log_zeta[:, 1:])
-        return model.s0 * np.exp(log_zeta)
+        tail = paths_exp_levy(law, model.s0, y, rest)
+        return np.concatenate([np.full((y.shape[0], 1), float(model.s0)), tail], axis=1)
     return law, zeta

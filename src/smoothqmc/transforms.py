@@ -44,7 +44,7 @@ class OrthogonalTransform:
         U = self.U
         if U.ndim != 2 or U.shape[0] != U.shape[1]:
             raise ValueError("U must be square")
-        gram_err = np.abs(U.T @ U - np.eye(U.shape[0])).max()
+        gram_err = np.abs(U.T @ U - np.eye(U.shape[0])).max(initial=0.0)
         if gram_err > _ORTHO_TOL:
             raise ValueError(f"U is not orthogonal to tolerance: {gram_err:.3e}")
         if self.kind == "mqr":

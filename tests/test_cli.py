@@ -109,6 +109,8 @@ sweep: {n: [16, 64]}
     ("methods: 5", "methods must be a non-empty list"),
     ("methods: MC", "methods must be a non-empty list"),
     ("model: {kind: [1]}", "model.kind"),
+    ("model: {sigma: 3e-1}",
+     "model.sigma must be a finite number, got '3e-1' (YAML read it as text"),
     pytest.param("model: {sigma: 1" + "0" * 400 + "}", "model.sigma",
                  id="model-sigma-int-beyond-float"),
     # past the 2^32-point Sobol' net; never run these with MC, which would

@@ -41,6 +41,8 @@ def test_bs_increment_parameters():
     assert law.normal(0.0) == pytest.approx((0.04 - 0.045) / 16, abs=1e-15)
     assert law.normal(1.0) - law.normal(0.0) == pytest.approx(0.075, abs=1e-15)
     assert law.residuals is None  # exact law, nothing built
+    y = np.linspace(-8.0, 8.0)
+    np.testing.assert_allclose(law.to_normal(law.normal(y)), y, rtol=0.0, atol=1e-14)
     sym = increment_law_for(BlackScholesSpec(s0=1.0, r=0.045, sigma=0.3, T=1.0, m=16))
     assert sym.cdf(0.0) == pytest.approx(0.5, abs=1e-14)
 
@@ -294,8 +296,12 @@ def test_nig_build_residuals():
     assert law.residuals.mass_error <= 1e-6
     # outside the nodes the cdf is exactly 0 and 1
     x_lo, x_hi = law.normal(np.array([-np.inf, np.inf]))
-    np.testing.assert_array_equal(law.cdf(np.array([x_lo - 1.0, x_lo, x_hi, x_hi + 1.0])),
-                                  [0.0, 0.0, 1.0, 1.0])
+    outside = np.array([x_lo - 1.0, x_lo, x_hi, x_hi + 1.0])
+    np.testing.assert_array_equal(law.cdf(outside), [0.0, 0.0, 1.0, 1.0])
+    np.testing.assert_array_equal(law.to_normal(outside), [-np.inf, -np.inf, np.inf, np.inf])
+    # inside them to_normal inverts normal
+    z = np.linspace(-7.99, 7.99, 100_001)
+    assert np.max(np.abs(law.to_normal(law.normal(z)) - z)) <= 1e-10
 
 
 def test_nig_sampling_matches_density():
@@ -482,7 +488,10 @@ def test_spec_validation():
             r=0.04, T=1.0, m=4),
     HestonSpec(s0=100.0, v0=0.2, r=0.04, theta_bar=0.2, nu=1.0,
                sigma_v=0.2, rho=0.5, m=4),
-], ids=["bs4", "nig4", "heston4"])
+    BlackScholesSpec(s0=100.0, r=0.04, sigma=0.3, T=1.0, m=1),
+    NigSpec(s0=100.0, alpha=105.96, beta=-26.15, mu=1.2528, delta=4.032,
+            r=0.04, T=1.0, m=1),
+], ids=["bs4", "nig4", "heston4", "bs1", "nig1"])
 def test_factorization_reproduces_paths(model):
     # exp(xi(u_1)) zeta(u_{2:d}) against the whole path map, with and
     # without a pinned rotation
