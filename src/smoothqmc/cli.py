@@ -111,10 +111,8 @@ def _as_sample_size(value, name: str) -> int:
 
 
 def _as_number(value, name: str) -> float:
+    hint = " (YAML read it as text; spell exponents as 3.0e-1 or 1.0e+6)" if isinstance(value, str) else ""
     # abs(x) <= max float rejects nan, +-inf, and ints too large for a float
-    # YAML 1.1 reads an exponent without a point or a sign (3e-1, 1.0e6) as text
-    hint = (" (YAML read it as text; write an exponent with a point and a sign, "
-            "as in 3.0e-1 or 1.0e+6)") if isinstance(value, str) else ""
     _require(isinstance(value, (int, float)) and not isinstance(value, bool)
              and abs(value) <= sys.float_info.max,
              f"{name} must be a finite number, got {value!r}{hint}")

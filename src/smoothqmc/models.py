@@ -173,14 +173,8 @@ class IncrementLaw:
 
 def gaussian_law(mean: float, scale: float) -> IncrementLaw:
     """N(mean, scale^2): the affine maps mean + scale y and (x - mean) / scale."""
-
-    def normal(y):
-        return mean + scale * np.asarray(y, dtype=float)
-
-    def to_normal(x):
-        return (np.asarray(x, dtype=float) - mean) / scale
-
-    return IncrementLaw(normal=normal, to_normal=to_normal)
+    return IncrementLaw(normal=lambda y: mean + scale * np.asarray(y, dtype=float),
+                        to_normal=lambda x: (np.asarray(x, dtype=float) - mean) / scale)
 
 
 def _nig_gamma(alpha: float, beta: float) -> float:
@@ -370,10 +364,13 @@ def paths_exp_levy(law: IncrementLaw, s0: float, z: np.ndarray,
                    transform: OrthogonalTransform) -> np.ndarray:
     """Price paths S_i = s0 exp(x_1 + ... + x_i) from an (N, m) batch of
     normal coordinates z: the increments are law.normal of the
-    transformed coordinates Uz.
+    transformed coordinates Uz, a new array that is summed, exponentiated
+    and scaled in place.
     """
-    y = apply_transform(transform, np.asarray(z, dtype=float))
-    return s0 * np.exp(np.cumsum(law.normal(y), axis=1))
+    x = law.normal(apply_transform(transform, np.asarray(z, dtype=float)))
+    np.exp(np.cumsum(x, axis=1, out=x), out=x)
+    x *= s0
+    return x
 
 
 def paths_heston(spec: HestonSpec, z: np.ndarray, transform: OrthogonalTransform) -> np.ndarray:
@@ -445,7 +442,7 @@ def factorization(model: ModelSpec, transform: OrthogonalTransform
                                "identity" if transform.kind == "identity" else "qr")
 
     def zeta(v):
-        y = special.ndtri(np.atleast_2d(np.asarray(v, dtype=float)))
-        tail = paths_exp_levy(law, model.s0, y, rest)
-        return np.concatenate([np.full((y.shape[0], 1), float(model.s0)), tail], axis=1)
+        tail = paths_exp_levy(law, model.s0,
+                              special.ndtri(np.atleast_2d(np.asarray(v, dtype=float))), rest)
+        return np.concatenate([np.full((tail.shape[0], 1), float(model.s0)), tail], axis=1)
     return law, zeta
