@@ -356,6 +356,15 @@ def test_zero_noise_path():
     assert np.max(np.abs(S[0] - expected)) <= 1e-9
 
 
+def test_paths_leave_the_coordinates_unchanged():
+    # paths are summed and exponentiated in place, in the array law.normal returns
+    z = np.random.default_rng(7).normal(size=(50, 16))
+    kept = z.copy()
+    for model in (BS, NIG):
+        paths_exp_levy(increment_law_for(model), model.s0, z, identity_transform(16))
+    np.testing.assert_array_equal(z, kept)
+
+
 def test_martingale_property_bs():
     law = increment_law_for(BS)
     u = pseudo_uniform(10 ** 5, 16, ScrambleSeed(21, 0))
