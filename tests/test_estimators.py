@@ -23,6 +23,7 @@ BS = BlackScholesSpec(s0=100.0, r=0.04, sigma=0.3, T=1.0, m=16)
 BINARY = PayoffSpec.for_model("binary-asian", BS, 100.0)
 DELTA = PayoffSpec.for_model("asian-delta", BS, 100.0)
 BARRIER = PayoffSpec.for_model("barrier-down-out", BS, 100.0, 90.0)
+NIG = NigSpec(s0=100.0, alpha=105.96, beta=-26.15, mu=1.2528, delta=4.032, r=0.04, T=1.0, m=16)
 
 
 def test_method_rosters():
@@ -70,9 +71,19 @@ def test_run_is_thread_count_invariant():
     assert a.replicate_variance == b.replicate_variance
 
 
+@pytest.mark.parametrize("method", ["MC", "QMC-I"])
+def test_raw_nig_run_is_thread_count_invariant(method):
+    # every replicate maps its own batch through the NIG law's normal map,
+    # chunk by chunk, on whichever pool thread runs it
+    payoff = PayoffSpec.for_model("asian-delta", NIG, 100.0)
+    a = run(method, payoff, NIG, n=1024, reps=6, seed=7, threads=1)
+    b = run(method, payoff, NIG, n=1024, reps=6, seed=7, threads=2)
+    assert a.estimate == b.estimate
+    assert a.replicate_variance == b.replicate_variance
+
+
 @pytest.mark.parametrize("model, payoff_kind", [
-    (NigSpec(s0=100.0, alpha=105.96, beta=-26.15, mu=1.2528, delta=4.032, r=0.04, T=1.0, m=16),
-     "binary-asian"),
+    (NIG, "binary-asian"),
     (HestonSpec(s0=100.0, v0=0.2, r=0.04, theta_bar=0.2, nu=1.0, sigma_v=0.2, rho=-0.5, m=16),
      "barrier-down-out"),
 ], ids=["nig16-binary", "hes16-neg-barrier"])

@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 from scipy import integrate, optimize, special
+from scipy.interpolate import CubicHermiteSpline
 
 from smoothqmc.errors import NoEsscherRootError
 from smoothqmc.models import (
@@ -21,7 +22,7 @@ from smoothqmc.models import (
     paths_exp_levy,
     paths_heston,
 )
-from smoothqmc.models import _domain_half_width
+from smoothqmc.models import _Z_NODES, _domain_half_width, _spline_on_z_nodes
 from smoothqmc.points import ScrambleSeed, pseudo_uniform
 from smoothqmc.transforms import apply_transform, identity_transform, mqr_transform, taylor_weight
 
@@ -302,6 +303,38 @@ def test_nig_build_residuals():
     # inside them to_normal inverts normal
     z = np.linspace(-7.99, 7.99, 100_001)
     assert np.max(np.abs(law.to_normal(law.normal(z)) - z)) <= 1e-10
+
+
+def _z_node_spline(kind):
+    if kind == "random":
+        rng = np.random.default_rng(14)
+        x = np.cumsum(rng.uniform(0.01, 1.0, _Z_NODES.size))
+        return CubicHermiteSpline(_Z_NODES, x, rng.uniform(0.01, 2.0, _Z_NODES.size))
+    spec = {"nig16": NIG, "nig64": dataclasses.replace(NIG, m=64),
+            "edge-m1": NIG_EDGE[0], "edge-m16": NIG_EDGE[1]}[kind]
+    law = increment_law_for(spec)
+    assert law.normal.func is _spline_on_z_nodes
+    return law.normal.args[0]
+
+
+@pytest.mark.parametrize("kind", ["random", "nig16", "nig64", "edge-m1", "edge-m16"])
+def test_spline_on_z_nodes_is_scipys_spline_bit_for_bit(kind):
+    # law.normal reads its interval off the uniform z nodes; it must equal
+    # scipy's bisecting evaluation of the same spline, clamped to [-8, 8]
+    spline = _z_node_spline(kind)
+    rng = np.random.default_rng(7)
+    block = 3.0 * rng.standard_normal((1231, 11))  # several chunks and a partial one
+    edges = np.array([-9.0, -8.0, 8.0, 9.0, -np.inf, np.inf, np.nan, 0.0])
+    inputs = [block, _Z_NODES, np.nextafter(_Z_NODES, -np.inf), np.nextafter(_Z_NODES, np.inf),
+              edges, np.asarray(0.3), np.asarray(np.nan), np.empty(0), np.empty((0, 16)),
+              np.asfortranarray(block), block[::3, 1::2], block[::-1]]
+    for y in inputs:
+        kept = y.copy()
+        out = _spline_on_z_nodes(spline, y)
+        assert out.shape == y.shape and out.flags.c_contiguous
+        assert not np.shares_memory(out, y)
+        assert np.array_equal(out, spline(np.clip(y, -8.0, 8.0)), equal_nan=True)
+        np.testing.assert_array_equal(y, kept)
 
 
 def test_nig_sampling_matches_density():
