@@ -86,15 +86,55 @@ def method_transform(method: str, payoff: PayoffSpec, model: ModelSpec) -> Ortho
     raise ValueError(f"unknown method {method!r}")
 
 
-def method_integrand(method: str, payoff: PayoffSpec,
-                     model: ModelSpec) -> Callable[[np.ndarray], np.ndarray]:
-    """The (0,1)^d integrand a method averages over its point set."""
+# Most rows per integrand evaluation: every stage from u to the payoff
+# maps rows independently, so blocks give the whole-batch values while no
+# temporary grows with the batch.
+_ROW_BLOCK = 2 ** 13
+
+
+def _row_blocked(integrand: Callable[[np.ndarray], np.ndarray]
+                 ) -> Callable[[np.ndarray], np.ndarray]:
+    """integrand evaluated block by block into one new array when u is a
+    batch of more than _ROW_BLOCK rows, and directly otherwise.
+
+    The blocks split the rows evenly, so none is shorter than half of
+    _ROW_BLOCK: OpenBLAS takes a product z @ U.T of one row or a few
+    dozen rows through other kernels, which round differently, so a short
+    tail block would change the bits of the rotation.
+    """
+    def blocked(u):
+        if np.ndim(u) != 2 or len(u) <= _ROW_BLOCK:
+            return integrand(u)
+        n = len(u)
+        k = -(-n // _ROW_BLOCK)
+        out = np.empty(n)
+        for i in range(k):
+            a, b = i * n // k, (i + 1) * n // k
+            out[a:b] = integrand(u[a:b])
+        return out
+    return blocked
+
+
+def _integrand(method: str, payoff: PayoffSpec,
+               model: ModelSpec) -> Callable[[np.ndarray], np.ndarray]:
     transform = method_transform(method, payoff, model)
     if method in RAW_METHODS:
         paths = path_map(model, transform)
         return lambda u: payoff_value(payoff, paths(special.ndtri(u)))
     problem = build_separable(payoff, model, transform)
     return lambda u: evaluate_smoothed(problem, u)
+
+
+def method_integrand(method: str, payoff: PayoffSpec,
+                     model: ModelSpec) -> Callable[[np.ndarray], np.ndarray]:
+    """The (0,1)^d integrand a method averages over its point set.
+
+    An (N, d) batch of more than 2^13 rows is evaluated over even blocks
+    of at most 2^13 rows into one new float64 array, so the memory a call
+    takes does not grow with N; the values are those of the whole-batch
+    call.
+    """
+    return _row_blocked(_integrand(method, payoff, model))
 
 
 def analysis_integrand(method: str, payoff: PayoffSpec,
@@ -107,10 +147,11 @@ def analysis_integrand(method: str, payoff: PayoffSpec,
     analysis runs on the remaining d - 1 inputs.
     """
     d = nominal_dim(model)
-    integrand = method_integrand(method, payoff, model)
+    integrand = _integrand(method, payoff, model)
     if method in SMOOTHED_METHODS and payoff.kind == "binary-asian" and d > 1:
-        return (lambda v: integrand(np.column_stack([np.full(len(v), 0.5), v]))), d - 1
-    return integrand, d
+        return _row_blocked(
+            lambda v: integrand(np.column_stack([np.full(len(v), 0.5), v]))), d - 1
+    return _row_blocked(integrand), d
 
 
 def run(method: str, payoff: PayoffSpec, model: ModelSpec, n: int, reps: int,

@@ -413,8 +413,11 @@ def paths_heston(spec: HestonSpec, z: np.ndarray, transform: OrthogonalTransform
 
     Coordinates are interleaved (z_1^1, z_1^2, ..., z_m^1, z_m^2): odd
     positions are asset-specific shocks, even positions drive the
-    variance.  Square roots use the positive part of V (full truncation);
-    the drifts keep the signed V.
+    variance.  The scheme is full truncation (Lord, Koekkoek & van Dijk,
+    Quant. Finance 10(2), 2010): the square root and both drifts,
+    (r - V+/2) dt for log S and nu (theta_bar - V+) dt for V, use the
+    positive part V+ of V, so the discounted price is a martingale of the
+    scheme even where V goes negative.
     """
     z = np.asarray(z, dtype=float)
     if z.shape[1] != spec.d:
@@ -429,10 +432,11 @@ def paths_heston(spec: HestonSpec, z: np.ndarray, transform: OrthogonalTransform
     log_s = np.full(n, np.log(spec.s0))
     out = np.empty((spec.m, n))
     for i in range(spec.m):
-        vol = np.sqrt(np.maximum(v, 0.0) * dt)
-        log_s = log_s + (spec.r - 0.5 * v) * dt + vol * (rho_hat * z_asset[i] + rho * z_var[i])
+        vp = np.maximum(v, 0.0)
+        vol = np.sqrt(vp * dt)
+        log_s = log_s + (spec.r - 0.5 * vp) * dt + vol * (rho_hat * z_asset[i] + rho * z_var[i])
         out[i] = log_s
-        v = v + spec.nu * (spec.theta_bar - v) * dt + spec.sigma_v * vol * z_var[i]
+        v = v + spec.nu * (spec.theta_bar - vp) * dt + spec.sigma_v * vol * z_var[i]
     np.exp(out, out=out)
     return np.ascontiguousarray(out.T)
 

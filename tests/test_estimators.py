@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import special
 
 from smoothqmc.estimators import (
     METHODS,
@@ -15,15 +16,18 @@ from smoothqmc.estimators import (
     weight_matrix,
 )
 from smoothqmc.errors import NumericalError
-from smoothqmc.models import BlackScholesSpec, HestonSpec, NigSpec
-from smoothqmc.payoffs import PayoffSpec, build_separable
+from smoothqmc.estimators import _ROW_BLOCK
+from smoothqmc.models import BlackScholesSpec, HestonSpec, NigSpec, nominal_dim, path_map
+from smoothqmc.payoffs import PayoffSpec, build_separable, payoff_value
 from smoothqmc.points import ScrambleSeed, SobolSource, pseudo_uniform, scramble
+from smoothqmc.smoothing import evaluate_smoothed
 
 BS = BlackScholesSpec(s0=100.0, r=0.04, sigma=0.3, T=1.0, m=16)
 BINARY = PayoffSpec.for_model("binary-asian", BS, 100.0)
 DELTA = PayoffSpec.for_model("asian-delta", BS, 100.0)
 BARRIER = PayoffSpec.for_model("barrier-down-out", BS, 100.0, 90.0)
 NIG = NigSpec(s0=100.0, alpha=105.96, beta=-26.15, mu=1.2528, delta=4.032, r=0.04, T=1.0, m=16)
+HES = HestonSpec(s0=100.0, v0=0.2, r=0.04, theta_bar=0.2, nu=1.0, sigma_v=0.2, rho=0.5, m=16)
 
 
 def test_method_rosters():
@@ -229,3 +233,64 @@ def test_analysis_integrand_reduced_mean_matches_price():
     full = run("sQMC-I", BINARY, BS, n=4096, reps=8, seed=37)
     tol = 4 * np.hypot(se, np.sqrt(full.replicate_variance / full.reps))
     assert abs(vals.mean() - full.estimate) <= tol
+
+
+def _whole_batch(method, payoff, model):
+    """The method's integrand evaluated on the whole batch in one call."""
+    transform = method_transform(method, payoff, model)
+    if method in RAW_METHODS:
+        paths = path_map(model, transform)
+        return lambda u: payoff_value(payoff, paths(special.ndtri(u)))
+    problem = build_separable(payoff, model, transform)
+    return lambda u: evaluate_smoothed(problem, u)
+
+
+def _assert_blocked_output(h, whole, u):
+    before = u.copy()
+    out = h(u)
+    np.testing.assert_array_equal(u, before)
+    assert out.dtype == np.float64 and out.shape == (len(u),)
+    assert out.flags.c_contiguous and out.flags.owndata
+    np.testing.assert_array_equal(out, whole(u))
+
+
+@pytest.mark.parametrize("n", [_ROW_BLOCK + 3, 3 * _ROW_BLOCK + 1])
+@pytest.mark.parametrize("model", [BS, NIG, HES], ids=["bs16", "nig16", "hes16"])
+def test_row_blocks_give_the_whole_batch_bits(model, n):
+    # BLAS does not promise the same bits of z @ U.T for every row count,
+    # so the identity, qr and mqr transforms are all pinned here
+    u = pseudo_uniform(n, nominal_dim(model), ScrambleSeed(43, 0)).values
+    for kind in ("binary-asian", "asian-delta", "barrier-down-out"):
+        payoff = PayoffSpec.for_model(kind, model, 100.0, 90.0)
+        for method in METHODS:
+            _assert_blocked_output(method_integrand(method, payoff, model),
+                                   _whole_batch(method, payoff, model), u)
+
+
+@pytest.mark.parametrize("n", [_ROW_BLOCK + 3, 3 * _ROW_BLOCK + 1])
+def test_row_blocked_analysis_integrand_gives_the_whole_batch_bits(n):
+    h, dim = analysis_integrand("sQMC-II", BINARY, BS)
+    smoothed = _whole_batch("sQMC-II", BINARY, BS)
+    v = pseudo_uniform(n, dim, ScrambleSeed(47, 0)).values
+    _assert_blocked_output(h, lambda v: smoothed(np.column_stack([np.full(len(v), 0.5), v])), v)
+
+
+def _outcome(f, u):
+    try:
+        return f(u)
+    except Exception as exc:  # noqa: BLE001 - the error itself is compared
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("method", ["QMC-II", "sQMC-II"])
+def test_row_blocks_leave_edge_inputs_alone(method):
+    h, whole = method_integrand(method, DELTA, BS), _whole_batch(method, DELTA, BS)
+    wrong = [_outcome(h, np.full((n, 15), 0.5)) for n in (4, _ROW_BLOCK + 3)]
+    assert wrong[0] == wrong[1] and wrong[0][0] is ValueError
+    for u in (np.full(16, 0.5), np.empty((0, 16))):
+        got, expected = _outcome(h, u), _outcome(whole, u)
+        if isinstance(expected, tuple):
+            assert got == expected
+        else:
+            np.testing.assert_array_equal(got, expected)
+            assert got.shape == expected.shape

@@ -471,15 +471,33 @@ def test_heston_paths_match_the_column_loop():
     out, truncated = np.empty((300, hes.m)), 0
     for i in range(hes.m):
         truncated += np.count_nonzero(v < 0.0)
-        vol = np.sqrt(np.maximum(v, 0.0) * hes.dt)
-        log_s = log_s + (hes.r - 0.5 * v) * hes.dt + vol * (rho_hat * y[:, 2 * i]
-                                                            + hes.rho * y[:, 2 * i + 1])
+        vp = np.maximum(v, 0.0)
+        vol = np.sqrt(vp * hes.dt)
+        log_s = log_s + (hes.r - 0.5 * vp) * hes.dt + vol * (rho_hat * y[:, 2 * i]
+                                                             + hes.rho * y[:, 2 * i + 1])
         out[:, i] = log_s
-        v = v + hes.nu * (hes.theta_bar - v) * hes.dt + hes.sigma_v * vol * y[:, 2 * i + 1]
+        v = v + hes.nu * (hes.theta_bar - vp) * hes.dt + hes.sigma_v * vol * y[:, 2 * i + 1]
     assert truncated > 0  # the full-truncation branch is exercised
     S = paths_heston(hes, z, transform)
     assert S.flags.c_contiguous
     np.testing.assert_array_equal(S, np.exp(out))
+
+
+@pytest.mark.parametrize("nu, sigma_v, rho", [(1.0, 1.0, -0.7), (0.5, 1.5, -0.9)],
+                         ids=["sigma_v-1.0", "sigma_v-1.5"])
+def test_heston_discounted_price_is_a_martingale_past_feller(nu, sigma_v, rho):
+    # 2 nu theta_bar < sigma_v^2, so V goes negative on many paths; full
+    # truncation keeps E[exp(-rT) S_T] = s0 (with the signed V in the
+    # drifts these paths read 100.48 and 101.48, 13 and 42 s.e. high)
+    hes = HestonSpec(s0=100.0, v0=0.04, r=0.04, theta_bar=0.04, nu=nu,
+                     sigma_v=sigma_v, rho=rho, m=16)
+    rng = np.random.default_rng(41)
+    s_t = np.concatenate([
+        paths_heston(hes, rng.normal(size=(2 ** 15, hes.d)), identity_transform(hes.d))[:, -1]
+        for _ in range(8)])
+    discounted = np.exp(-hes.r * hes.T) * s_t
+    se = discounted.std(ddof=1) / np.sqrt(discounted.size)
+    assert abs(discounted.mean() - hes.s0) <= 4.0 * se
 
 
 def test_heston_first_shock_factorization():
