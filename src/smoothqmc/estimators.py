@@ -88,7 +88,9 @@ def method_transform(method: str, payoff: PayoffSpec, model: ModelSpec) -> Ortho
 
 # Most rows per integrand evaluation: every stage from u to the payoff
 # maps rows independently, so blocks give the whole-batch values while no
-# temporary grows with the batch.
+# temporary grows with the batch.  Smaller blocks slowed two-thread Heston
+# replicates (more of their time holds the GIL); larger ones gave back
+# most of the saving on 2^18-point effective-dimension calls.
 _ROW_BLOCK = 2 ** 13
 
 
