@@ -311,17 +311,18 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--config", default=None, help="YAML experiment file")
         cmd.add_argument("--seed", type=int, default=None, help="override the config seed")
         cmd.add_argument("--out", default=None, help="output CSV path (default stdout)")
-        cmd.add_argument("--threads", type=int, default=1,
-                         help="worker threads for replicate loops")
-        cmd.add_argument("--timing", action="store_true",
-                         help="record wall-clock times (breaks byte reproducibility)")
+        if name != "effdim":  # effdim has no replicate loop and no time column
+            cmd.add_argument("--threads", type=int, default=1,
+                             help="worker threads for replicate loops")
+            cmd.add_argument("--timing", action="store_true",
+                             help="record wall-clock times (breaks byte reproducibility)")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        _as_int(args.threads, "--threads", 1)
+        _as_int(getattr(args, "threads", 1), "--threads", 1)
         cfg = parse_config(args.config)
         if args.seed is not None:
             cfg = replace(cfg, seed=_as_seed(args.seed, "--seed"))

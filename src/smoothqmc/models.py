@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import numbers
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 from scipy import special
@@ -42,14 +43,30 @@ __all__ = [
 ]
 
 
-def _require_finite(spec) -> None:
-    bad = [f.name for f in dataclasses.fields(spec) if not np.isfinite(getattr(spec, f.name))]
-    if bad:
-        raise ValueError(f"{type(spec).__name__} requires finite {', '.join(bad)}")
+class ModelSpec:
+    """Base of the model specs: a price s0 > 0 monitored at m >= 1 dates
+    dt = T / m apart up to T > 0, with d = m normal coordinates per path.
+    Every field is finite and m an integer; a subclass adds its own checks."""
+
+    def __post_init__(self):
+        name = type(self).__name__
+        bad = [f.name for f in dataclasses.fields(self) if not np.isfinite(getattr(self, f.name))]
+        if bad:
+            raise ValueError(f"{name} requires finite {', '.join(bad)}")
+        if not (self.s0 > 0 and self.T > 0 and isinstance(self.m, numbers.Integral) and self.m >= 1):
+            raise ValueError(f"{name} requires s0 > 0, T > 0 and an integer m >= 1")
+
+    @property
+    def dt(self) -> float:
+        return self.T / self.m
+
+    @property
+    def d(self) -> int:
+        return self.m
 
 
 @dataclass(frozen=True)
-class BlackScholesSpec:
+class BlackScholesSpec(ModelSpec):
     s0: float
     r: float
     sigma: float
@@ -57,13 +74,9 @@ class BlackScholesSpec:
     m: int = 16
 
     def __post_init__(self):
-        _require_finite(self)
-        if not (self.s0 > 0 and self.sigma > 0 and self.T > 0 and self.m >= 1):
-            raise ValueError("BlackScholesSpec requires s0>0, sigma>0, T>0, m>=1")
-
-    @property
-    def dt(self) -> float:
-        return self.T / self.m
+        super().__post_init__()
+        if not self.sigma > 0:
+            raise ValueError("BlackScholesSpec requires sigma > 0")
 
     @property
     def a(self) -> float:
@@ -75,7 +88,7 @@ class BlackScholesSpec:
 
 
 @dataclass(frozen=True)
-class NigSpec:
+class NigSpec(ModelSpec):
     """Annualized NIG parameters plus the market rate; theta is the Esscher
     parameter making the discounted price a martingale."""
 
@@ -89,17 +102,9 @@ class NigSpec:
     m: int = 16
 
     def __post_init__(self):
-        _require_finite(self)
-        if not self.s0 > 0:
-            raise ValueError("NigSpec requires s0 > 0")
+        super().__post_init__()
         if not (abs(self.beta) <= self.alpha and self.delta > 0):
             raise ValueError("NigSpec requires |beta| <= alpha and delta > 0")
-        if not (self.T > 0 and self.m >= 1):
-            raise ValueError("NigSpec requires T > 0 and m >= 1")
-
-    @property
-    def dt(self) -> float:
-        return self.T / self.m
 
     @property
     def theta(self) -> float:
@@ -107,7 +112,7 @@ class NigSpec:
 
 
 @dataclass(frozen=True)
-class HestonSpec:
+class HestonSpec(ModelSpec):
     s0: float
     v0: float
     r: float
@@ -119,24 +124,15 @@ class HestonSpec:
     m: int = 16
 
     def __post_init__(self):
-        _require_finite(self)
-        if not (self.s0 > 0 and self.v0 > 0 and self.T > 0 and self.m >= 1):
-            raise ValueError("HestonSpec requires s0>0, v0>0, T>0, m>=1")
+        super().__post_init__()
         if not abs(self.rho) < 1:
             raise ValueError("HestonSpec requires rho strictly inside (-1, 1)")
-        if not (self.nu >= 0 and self.theta_bar >= 0 and self.sigma_v >= 0):
-            raise ValueError("HestonSpec requires nu>=0, theta_bar>=0, sigma_v>=0")
-
-    @property
-    def dt(self) -> float:
-        return self.T / self.m
+        if not (self.v0 > 0 and self.nu >= 0 and self.theta_bar >= 0 and self.sigma_v >= 0):
+            raise ValueError("HestonSpec requires v0>0, nu>=0, theta_bar>=0, sigma_v>=0")
 
     @property
     def d(self) -> int:
         return 2 * self.m
-
-
-ModelSpec = Union[BlackScholesSpec, NigSpec, HestonSpec]
 
 
 @dataclass(frozen=True)
@@ -388,7 +384,7 @@ def increment_law_for(model: ModelSpec) -> IncrementLaw:
 
 
 def nominal_dim(model: ModelSpec) -> int:
-    return model.d if isinstance(model, HestonSpec) else model.m
+    return model.d
 
 
 # ---------------------------------------------------------------------------

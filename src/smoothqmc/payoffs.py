@@ -118,7 +118,9 @@ def gamma_extreme(kappas: np.ndarray, zeta: np.ndarray, law: IncrementLaw) -> np
     per-step levels kappa_j: u_1 > max_j F_xi(log(kappa_j / zeta_j)).
     F_xi and log are monotone, so that is one cdf per path,
     F_xi(log(max_j kappa_j / zeta_j))."""
-    ratio = np.asarray(kappas, dtype=float) / np.asarray(zeta, dtype=float)
+    # a zeta_j at or near 0 knocks the path out for any u_1: ratio +inf, Gamma 1
+    with np.errstate(divide="ignore", over="ignore"):
+        ratio = np.asarray(kappas, dtype=float) / np.asarray(zeta, dtype=float)
     return law.cdf(np.log(ratio.max(axis=-1)))
 
 

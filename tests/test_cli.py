@@ -465,6 +465,18 @@ def test_threads_and_seed_validation(tmp_path, capsys):
     assert code == 2
 
 
+def test_only_the_replicate_commands_take_threads_and_timing(tmp_path, capsys):
+    # effdim runs no replicate loop and prints no time column
+    path = _write(tmp_path, FAST_BS + "sweep: {n: [64]}\n")
+    for flags in (["--threads", "2"], ["--timing"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["effdim", "--config", path, *flags])
+        assert exc.value.code == 2
+    for command in ("price", "vrf", "sweep"):
+        code, out, _ = _run(capsys, [command, "--config", path, "--threads", "2", "--timing"])
+        assert code == 0 and len(_rows(out)) > 1
+
+
 # ---------------------------------------------------------------------------
 # import cost
 

@@ -11,6 +11,7 @@ from smoothqmc.errors import NoEsscherRootError
 from smoothqmc.models import (
     BlackScholesSpec,
     HestonSpec,
+    ModelSpec,
     NigSpec,
     esscher_theta,
     factorization,
@@ -372,9 +373,10 @@ def test_increment_law_cache_and_nominal_dim():
     with pytest.raises(TypeError, match="no i.i.d. increment law"):
         increment_law_for(HestonSpec(s0=1, v0=0.04, r=0, theta_bar=0.04,
                                      nu=1, sigma_v=0.1, rho=0.3))
-    assert nominal_dim(BS) == 16
-    assert nominal_dim(HestonSpec(s0=1, v0=0.04, r=0, theta_bar=0.04,
-                                  nu=1, sigma_v=0.1, rho=0.3, m=16)) == 32
+    heston = HestonSpec(s0=1, v0=0.04, r=0, theta_bar=0.04, nu=1, sigma_v=0.1, rho=0.3, m=16)
+    for spec, d in ((BS, 16), (NIG, 16), (heston, 32)):
+        assert isinstance(spec, ModelSpec)
+        assert spec.d == nominal_dim(spec) == d
 
 
 # ---------------------------------------------------------------------------
@@ -536,6 +538,13 @@ def test_spec_validation():
         with pytest.raises(ValueError):
             HestonSpec(**{**heston, key: bad})
     HestonSpec(**{**heston, "nu": 0.0, "theta_bar": 0.0, "sigma_v": 0.0})  # zero stays valid
+    # the checks every spec shares: T > 0 and an integer m >= 1
+    nig = dict(s0=100, alpha=1.0, beta=0.0, mu=0.0, delta=1.0, r=0.0)
+    for spec, params in ((BlackScholesSpec, dict(s0=100, r=0.0, sigma=0.2)),
+                         (NigSpec, nig), (HestonSpec, heston)):
+        for key, bad in (("T", 0.0), ("T", -1.0), ("m", 0), ("m", 4.5), ("m", 4.0)):
+            with pytest.raises(ValueError, match=spec.__name__):
+                spec(**{**params, key: bad})
 
 
 # ---------------------------------------------------------------------------

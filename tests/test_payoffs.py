@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import special
 
-from smoothqmc.estimators import method_transform
+from smoothqmc.estimators import method_transform, run
 from smoothqmc.models import (
     BlackScholesSpec,
     HestonSpec,
@@ -26,7 +26,7 @@ from smoothqmc.payoffs import (
     payoff_value,
 )
 from smoothqmc.points import ScrambleSeed, pseudo_uniform, scrambled_sobol
-from smoothqmc.smoothing import evaluate_indicator
+from smoothqmc.smoothing import evaluate_indicator, evaluate_smoothed
 from smoothqmc.transforms import identity_transform, mqr_transform, qr_transform, taylor_weight
 
 BS4 = BlackScholesSpec(s0=100.0, r=0.04, sigma=0.3, T=1.0, m=4)
@@ -320,6 +320,25 @@ def test_heston_gamma_extreme_single_date():
     ga = heston_gamma_extreme(np.array([95.0]), u_rest, hes, identity_transform(2))
     gb = heston_gamma_average(95.0, u_rest, hes, identity_transform(2))
     np.testing.assert_allclose(ga, gb, atol=1e-12)
+
+
+def test_gamma_extreme_where_the_heston_zeta_underflows():
+    # at sigma_v 5 some conditional paths underflow to zeta_j = 0; such a
+    # path is knocked out whatever u_1 is, so Gamma is 1 and the smoothed
+    # integrand weighs it 0, with no divide or overflow warning
+    hes = HestonSpec(s0=100, v0=4.0, r=0.04, theta_bar=0.0, nu=0.0, sigma_v=5.0,
+                     rho=-0.99, T=10.0, m=8)
+    payoff = PayoffSpec.for_model("barrier-down-out", hes, 100.0, 90.0)
+    u = scrambled_sobol(1024, hes.d, ScrambleSeed(12345, 0)).values
+    for method in ("sQMC-I", "sQMC-II"):
+        problem = build_separable(payoff, hes, method_transform(method, payoff, hes))
+        zeta = problem.conditional(u[:, 1:])
+        zero = np.any(zeta == 0.0, axis=1)
+        assert zero.any()
+        assert np.all(problem.lower(zeta)[zero] == 1.0)
+        values = evaluate_smoothed(problem, u)
+        assert np.all(np.isfinite(values)) and np.all(values[zero] == 0.0)
+        assert np.isfinite(run(method, payoff, hes, 1024, 4, 12345).estimate)
 
 
 def test_heston_bounds_reject_unpinned_transform():
