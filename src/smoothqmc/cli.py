@@ -34,7 +34,7 @@ import yaml
 from .effdim import dimension_report
 from .errors import ConfigError, NumericalError
 from .estimators import METHODS, SMOOTHED_METHODS, analysis_integrand, run, vrf_table
-from .models import BlackScholesSpec, HestonSpec, NigSpec, nominal_dim
+from .models import BlackScholesSpec, HestonSpec, NigSpec, _finite_real
 from .payoffs import PAYOFF_KINDS, PayoffSpec
 from .points import N_BITS
 
@@ -112,10 +112,7 @@ def _as_sample_size(value, name: str) -> int:
 
 def _as_number(value, name: str) -> float:
     hint = " (YAML read it as text; spell exponents as 3.0e-1 or 1.0e+6)" if isinstance(value, str) else ""
-    # abs(x) <= max float rejects nan, +-inf, and ints too large for a float
-    _require(isinstance(value, (int, float)) and not isinstance(value, bool)
-             and abs(value) <= sys.float_info.max,
-             f"{name} must be a finite number, got {value!r}{hint}")
+    _require(_finite_real(value), f"{name} must be a finite number, got {value!r}{hint}")
     return float(value)
 
 
@@ -242,7 +239,7 @@ def _cmd_price(cfg: ExperimentConfig, args) -> list[list[str]]:
 
 def _cmd_vrf(cfg: ExperimentConfig, args) -> list[list[str]]:
     _require("MC" in cfg.methods, "vrf needs the MC baseline in methods")
-    return [[case, str(nominal_dim(model)), rep.method, _fmt(rep.estimate),
+    return [[case, str(model.d), rep.method, _fmt(rep.estimate),
              _fmt(rep.vrf), _time_ms(rep.wall_time, args.timing)]
             for case, model, rep in _priced(cfg, args)]
 

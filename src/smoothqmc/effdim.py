@@ -72,30 +72,30 @@ class DimensionReport:
 def dimension_report(integrand: Integrand, d: int, n: int, seed: int,
                      p: float = 0.99) -> DimensionReport:
     """One-pass report sharing a single (a, b) block pair across the
-    truncation scan, first-order indices, and Jansen total indices; the
-    last two share their d hybrids, so a report makes 2d + 1 integrand calls."""
+    truncation scan, first-order indices, and Jansen total indices.  Each
+    hybrid is b with some columns from a, alive only during its own call;
+    the last two share their d hybrids, so a report makes 2d + 1 calls."""
     if not 0.0 < p <= 1.0:
         raise ValueError(f"p must be in (0, 1], got {p}")
     a, b = np.hsplit(scrambled_sobol(n, 2 * d, ScrambleSeed(seed)).values, 2)
+
+    def h_hybrid(cols) -> np.ndarray:
+        hybrid = b.copy()
+        hybrid[:, cols] = a[:, cols]
+        return np.asarray(integrand(hybrid), dtype=float)
+
     ha = np.asarray(integrand(a), dtype=float)
     var = _variance(ha)
-
-    trunc = []
-    for ell in range(1, d):
-        hybrid = np.concatenate([a[:, :ell], b[:, ell:]], axis=1)
-        trunc.append(_cov(ha, np.asarray(integrand(hybrid), dtype=float)) / var)
+    trunc = [_cov(ha, h_hybrid(slice(0, ell))) / var for ell in range(1, d)]
     trunc.append(_cov(ha, ha) / var)  # at l = d the hybrid is a itself
     trunc_dim = next((ell for ell, r in enumerate(trunc, start=1) if r >= p), d)
 
     hb = np.asarray(integrand(b), dtype=float)
-    first_order = 0.0
-    jansen = 0.0
+    first_order = jansen = 0.0
     for j in range(d):
-        hybrid = b.copy()
-        hybrid[:, j] = a[:, j]
-        h_hybrid = np.asarray(integrand(hybrid), dtype=float)
-        first_order += _cov(ha, h_hybrid) / var
-        diff = hb - h_hybrid
+        hj = h_hybrid(j)
+        first_order += _cov(ha, hj) / var
+        diff = hb - hj
         jansen += float(diff @ diff) / (2.0 * hb.size)
 
     d_ms = jansen / var

@@ -27,7 +27,7 @@ import numpy as np
 from scipy import special
 
 from .errors import NumericalError
-from .models import ModelSpec, nominal_dim, path_map
+from .models import ModelSpec, path_map
 from .payoffs import PayoffSpec, build_separable, payoff_value
 from .points import ScrambleSeed, SobolSource, pseudo_uniform, scramble
 from .smoothing import evaluate_smoothed
@@ -71,14 +71,14 @@ class EstimatorReport:
 def weight_matrix(payoff: PayoffSpec, model: ModelSpec) -> np.ndarray:
     """First-order Taylor weights of the payoff's smooth part at z = 0,
     built afresh on each call (a few finite-difference paths)."""
-    d = nominal_dim(model)
+    d = model.d
     return taylor_weight(path_map(model, identity_transform(d)), payoff.weight_kind, d)
 
 
 def method_transform(method: str, payoff: PayoffSpec, model: ModelSpec) -> OrthogonalTransform:
     """The orthogonal rotation a method applies to the normal coordinates."""
     if method in ("MC", "QMC-I", "sQMC-I"):
-        return identity_transform(nominal_dim(model))
+        return identity_transform(model.d)
     if method == "QMC-II":
         return qr_transform(weight_matrix(payoff, model))
     if method == "sQMC-II":
@@ -148,7 +148,7 @@ def analysis_integrand(method: str, payoff: PayoffSpec,
     pushed coordinate, so that coordinate is fixed at 1/2 and the
     analysis runs on the remaining d - 1 inputs.
     """
-    d = nominal_dim(model)
+    d = model.d
     integrand = _integrand(method, payoff, model)
     if method in SMOOTHED_METHODS and payoff.kind == "binary-asian" and d > 1:
         return _row_blocked(
@@ -170,7 +170,7 @@ def run(method: str, payoff: PayoffSpec, model: ModelSpec, n: int, reps: int,
     if reps < 2:
         raise ValueError(f"reps must be >= 2 for a replicate variance, got {reps}")
     integrand = method_integrand(method, payoff, model)
-    d = nominal_dim(model)
+    d = model.d
 
     def one(k: int) -> float:
         s = ScrambleSeed(seed, k)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import numbers
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -43,16 +44,22 @@ __all__ = [
 ]
 
 
+def _finite_real(x) -> bool:
+    """A finite real number that is not a bool; abs(x) <= max float also
+    refuses nan, +-inf and ints too large for a float."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
+
+
 class ModelSpec:
     """Base of the model specs: a price s0 > 0 monitored at m >= 1 dates
     dt = T / m apart up to T > 0, with d = m normal coordinates per path.
-    Every field is finite and m an integer; a subclass adds its own checks."""
+    Every field is a finite real and m an integer; a subclass adds its own checks."""
 
     def __post_init__(self):
         name = type(self).__name__
-        bad = [f.name for f in dataclasses.fields(self) if not np.isfinite(getattr(self, f.name))]
+        bad = [f.name for f in dataclasses.fields(self) if not _finite_real(getattr(self, f.name))]
         if bad:
-            raise ValueError(f"{name} requires finite {', '.join(bad)}")
+            raise ValueError(f"{name} requires finite real numbers for {', '.join(bad)}")
         if not (self.s0 > 0 and self.T > 0 and isinstance(self.m, numbers.Integral) and self.m >= 1):
             raise ValueError(f"{name} requires s0 > 0, T > 0 and an integer m >= 1")
 
@@ -384,6 +391,8 @@ def increment_law_for(model: ModelSpec) -> IncrementLaw:
 
 
 def nominal_dim(model: ModelSpec) -> int:
+    # the package reads model.d; this alias stays for the benchmark harness,
+    # which imports it
     return model.d
 
 

@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .models import HestonSpec, IncrementLaw, ModelSpec, factorization, nominal_dim
+from .models import HestonSpec, IncrementLaw, ModelSpec, _finite_real, factorization
 from .transforms import OrthogonalTransform
 
 __all__ = [
@@ -42,8 +42,8 @@ PAYOFF_KINDS = ("binary-asian", "asian-delta", "barrier-down-out")
 
 
 def _positive(x: float | None) -> bool:
-    """True for a finite positive number; None and NaN are not."""
-    return x is not None and 0.0 < x < np.inf
+    """True for a finite real number above 0."""
+    return _finite_real(x) and x > 0
 
 
 @dataclass(frozen=True)
@@ -177,7 +177,7 @@ def build_separable(payoff: PayoffSpec, model: ModelSpec,
                     transform: OrthogonalTransform) -> SeparableProblem:
     """Assemble (zeta, Gamma, f) for a payoff/model/transform triple."""
     law, conditional = factorization(model, transform)
-    d = nominal_dim(model)
+    d = model.d
     if transform.d != d:
         raise ValueError(f"transform dimension {transform.d} does not match model dimension {d}")
     disc = payoff.discount

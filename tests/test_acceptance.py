@@ -28,7 +28,6 @@ from smoothqmc.models import (
     HestonSpec,
     NigSpec,
     increment_law_for,
-    nominal_dim,
     paths_exp_levy,
     paths_heston,
 )
@@ -257,7 +256,7 @@ def test_7_property_suites(verdict):
     # raw-vs-separated equivalence, unbiasedness, and the variance bound
     # for every payoff x model cell under both applicable transforms
     for model in models:
-        d = nominal_dim(model)
+        d = model.d
         for kind, strike, level in CELL_KINDS:
             payoff = PayoffSpec.for_model(kind, model, strike, level)
             transforms = {"identity": identity_transform(d),

@@ -1,10 +1,13 @@
 """Effective-dimension statistics against analytic and quadrature oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from smoothqmc.effdim import DimensionReport, dimension_report
 from smoothqmc.errors import NumericalError
+from smoothqmc.points import ScrambleSeed, scrambled_sobol
 
 from oracles import g_anova, g_function, g_quadrature
 
@@ -101,11 +104,11 @@ def test_full_prefix_ratio_is_exactly_one():
 def test_integrand_call_count():
     # the two base blocks, d - 1 truncation hybrids (at l = d the hybrid is
     # the base block itself), and d hybrids shared by the first-order and
-    # total indices
+    # total indices; every hybrid is b with some columns from a
     calls = []
 
     def counted(u):
-        calls.append(len(u))
+        calls.append(u.copy())
         return np.atleast_2d(u).sum(axis=1)
 
     for d in (1, 2, 5):
@@ -113,6 +116,35 @@ def test_integrand_call_count():
         report = dimension_report(counted, d, 256, seed=13)
         assert len(calls) == 2 * d + 1
         assert len(report.truncation) == d
+        a, b = np.hsplit(scrambled_sobol(256, 2 * d, ScrambleSeed(13)).values, 2)
+        cols = np.arange(d)
+        from_a = ([cols < d] + [cols < ell for ell in range(1, d)]
+                  + [cols < 0] + [cols == j for j in range(d)])
+        for u, mask in zip(calls, from_a):
+            np.testing.assert_array_equal(u, np.where(mask, a, b))
+
+
+def test_one_hybrid_alive_at_a_time():
+    # above the first call h(a) (so point generation is left out), the
+    # traced peak holds one n x d hybrid plus a few length-n vectors; two
+    # live hybrids would pass 2 blocks
+    n, d = 2 ** 14, 16
+    w = np.linspace(0.5, 1.5, d)
+    base = []
+
+    def h(u):
+        if not base:
+            tracemalloc.reset_peak()
+            base.append(tracemalloc.get_traced_memory()[0])
+        return np.sin(u @ w)
+
+    tracemalloc.start()
+    try:
+        dimension_report(h, d, n, seed=14)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - base[0] < 1.75 * n * d * 8
 
 
 def test_truncation_ratios_increase():

@@ -17,7 +17,7 @@ from smoothqmc.estimators import (
     weight_matrix,
 )
 from smoothqmc.errors import NumericalError
-from smoothqmc.models import BlackScholesSpec, HestonSpec, NigSpec, nominal_dim, path_map
+from smoothqmc.models import BlackScholesSpec, HestonSpec, NigSpec, path_map
 from smoothqmc.payoffs import PayoffSpec, build_separable, payoff_value
 from smoothqmc.points import ScrambleSeed, SobolSource, pseudo_uniform, scramble
 from smoothqmc.smoothing import evaluate_smoothed
@@ -259,7 +259,7 @@ def _assert_blocked_output(h, whole, u):
 def test_row_blocks_give_the_whole_batch_bits(model, n):
     # BLAS does not promise the same bits of z @ U.T for every row count,
     # so the identity, qr and mqr transforms are all pinned here
-    u = pseudo_uniform(n, nominal_dim(model), ScrambleSeed(43, 0)).values
+    u = pseudo_uniform(n, model.d, ScrambleSeed(43, 0)).values
     for kind in ("binary-asian", "asian-delta", "barrier-down-out"):
         payoff = PayoffSpec.for_model(kind, model, 100.0, 90.0)
         for method in METHODS:

@@ -545,6 +545,11 @@ def test_spec_validation():
         for key, bad in (("T", 0.0), ("T", -1.0), ("m", 0), ("m", 4.5), ("m", 4.0)):
             with pytest.raises(ValueError, match=spec.__name__):
                 spec(**{**params, key: bad})
+        # every field is a finite real number that is not a bool
+        for key, bad in (("m", True), ("s0", True), ("s0", "100"), ("s0", None),
+                         ("s0", 10 ** 400), ("T", 10 ** 400)):
+            with pytest.raises(ValueError, match=spec.__name__):
+                spec(**{**params, key: bad})
 
 
 # ---------------------------------------------------------------------------
@@ -564,7 +569,7 @@ def test_spec_validation():
 def test_factorization_reproduces_paths(model):
     # exp(xi(u_1)) zeta(u_{2:d}) against the whole path map, with and
     # without a pinned rotation
-    d = nominal_dim(model)
+    d = model.d
     u = pseudo_uniform(500, d, ScrambleSeed(41, 0)).values
     W = taylor_weight(path_map(model, identity_transform(d)), "barrier", d)
     for transform in (identity_transform(d), mqr_transform(W)):

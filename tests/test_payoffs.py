@@ -11,7 +11,6 @@ from smoothqmc.models import (
     NigSpec,
     factorization,
     increment_law_for,
-    nominal_dim,
     path_map,
     paths_exp_levy,
 )
@@ -19,10 +18,7 @@ from smoothqmc.payoffs import (
     PayoffSpec,
     build_separable,
     gamma_average,
-    gamma_component,
     gamma_extreme,
-    heston_gamma_average,
-    heston_gamma_extreme,
     payoff_value,
 )
 from smoothqmc.points import ScrambleSeed, pseudo_uniform, scrambled_sobol
@@ -45,6 +41,17 @@ def _zeta(x_rest, s0):
 
 def _bs_zeta(u_rest, law, s0):
     return _zeta(_bs_x_rest(u_rest, law), s0)
+
+
+def _gamma_date(j, kappa, zeta, law):
+    """Bound for the single-date condition S_j > kappa: gamma_extreme on column j."""
+    return gamma_extreme(np.array([kappa]), zeta[:, j - 1:j], law)
+
+
+def _heston_gamma_average(kappa, u_rest, hes, transform):
+    """The average bound on the conditioning coordinates u_{2:d}."""
+    law, conditional = factorization(hes, transform)
+    return gamma_average(kappa, conditional(u_rest), law)
 
 
 # ---------------------------------------------------------------------------
@@ -98,6 +105,14 @@ def test_payoff_spec_validation():
             PayoffSpec("barrier-down-out", strike=100.0, barrier=bad)
         with pytest.raises(ValueError):
             PayoffSpec("asian-delta", strike=100.0, s0=bad)
+    # a bool, text or an int too large for a float is not a number
+    for bad in (True, "100", 10 ** 400):
+        with pytest.raises(ValueError, match="strike"):
+            PayoffSpec("binary-asian", strike=bad)
+        with pytest.raises(ValueError, match="barrier"):
+            PayoffSpec("barrier-down-out", strike=100.0, barrier=bad)
+        with pytest.raises(ValueError, match="s0"):
+            PayoffSpec("asian-delta", strike=100.0, s0=bad)
 
 
 def test_barrier_levels_fold_strike():
@@ -114,10 +129,10 @@ def test_barrier_levels_fold_strike():
 def test_gamma_component_trivials():
     law = increment_law_for(SYM4)
     flat = np.full((1, 4), SYM4.s0)
-    assert gamma_component(1, SYM4.s0, flat, law)[0] == pytest.approx(0.5, abs=1e-14)
-    assert gamma_component(1, 1e-12, flat, law)[0] <= 1e-12
+    assert _gamma_date(1, SYM4.s0, flat, law)[0] == pytest.approx(0.5, abs=1e-14)
+    assert _gamma_date(1, 1e-12, flat, law)[0] <= 1e-12
     # conditioning shifts the bound: positive past increments lower it
-    up = gamma_component(3, SYM4.s0, _zeta(np.array([[0.2, 0.2, 0.0]]), SYM4.s0), law)[0]
+    up = _gamma_date(3, SYM4.s0, _zeta(np.array([[0.2, 0.2, 0.0]]), SYM4.s0), law)[0]
     assert up < 0.5
 
 
@@ -130,7 +145,7 @@ def test_gamma_component_matches_marginal_probability():
     S = paths_exp_levy(law, BS4.s0, z, identity_transform(4))
     ind = (S[:, 2] > kappa).astype(float)
     v = pseudo_uniform(n, 3, ScrambleSeed(5, 1)).values
-    g = 1.0 - gamma_component(3, kappa, _bs_zeta(v, law, BS4.s0), law)
+    g = 1.0 - _gamma_date(3, kappa, _bs_zeta(v, law, BS4.s0), law)
     se = np.hypot(ind.std(ddof=1), g.std(ddof=1)) / np.sqrt(n)
     assert abs(ind.mean() - g.mean()) <= 3 * se
     # conditioning integrates out u_1, so the bound route has less variance
@@ -141,7 +156,7 @@ def test_gamma_average_single_step_reduces_to_component():
     law = increment_law_for(BlackScholesSpec(s0=100.0, r=0.04, sigma=0.3, T=1.0, m=1))
     zeta = np.full((5, 1), 100.0)
     np.testing.assert_allclose(gamma_average(95.0, zeta, law),
-                               gamma_component(1, 95.0, zeta, law), atol=1e-14)
+                               _gamma_date(1, 95.0, zeta, law), atol=1e-14)
 
 
 def test_gamma_average_flat_conditioning():
@@ -175,7 +190,7 @@ def test_gamma_extreme_single_level_reduces_to_component():
     law = increment_law_for(BS4)
     zeta = np.full((5, 1), 100.0)
     np.testing.assert_allclose(gamma_extreme(np.array([97.0]), zeta, law),
-                               gamma_component(1, 97.0, zeta, law), atol=1e-14)
+                               law.cdf(np.log(97.0 / zeta[:, 0])), atol=1e-14)
 
 
 def test_gamma_extreme_limits_and_direction():
@@ -186,7 +201,7 @@ def test_gamma_extreme_limits_and_direction():
     assert np.all(tiny <= 1e-12)
     levels = np.array([90.0, 90.0, 90.0, 100.0])
     # all levels must hold, so the bound is the max of the per-step bounds
-    per_step = [gamma_component(j, levels[j - 1], zeta, law) for j in range(1, 5)]
+    per_step = [_gamma_date(j, levels[j - 1], zeta, law) for j in range(1, 5)]
     np.testing.assert_allclose(gamma_extreme(levels, zeta, law), np.max(per_step, axis=0),
                                atol=1e-14)
 
@@ -216,7 +231,7 @@ def test_gamma_extreme_is_the_max_of_the_per_date_cdfs(model, n):
     # bit for bit, on the sQMC-II barrier 100/90 cell of the acceptance models
     payoff = PayoffSpec.for_model("barrier-down-out", model, 100.0, 90.0)
     law, conditional = factorization(model, method_transform("sQMC-II", payoff, model))
-    u = scrambled_sobol(n, nominal_dim(model), ScrambleSeed(12345, 0)).values
+    u = scrambled_sobol(n, model.d, ScrambleSeed(12345, 0)).values
     zeta = conditional(u[:, 1:])
     kappas = payoff.barrier_levels(model.m)
     np.testing.assert_array_equal(gamma_extreme(kappas, zeta, law),
@@ -229,7 +244,7 @@ def test_gamma_bounds_stay_in_unit_interval():
     zeta = _bs_zeta(v, law, BS4.s0)
     for g in (gamma_average(100.0, zeta, law),
               gamma_extreme(np.array([90.0, 90, 90, 100.0]), zeta, law),
-              gamma_component(2, 100.0, zeta, law)):
+              _gamma_date(2, 100.0, zeta, law)):
         assert np.all((g >= 0.0) & (g <= 1.0))
 
 
@@ -285,7 +300,7 @@ def test_heston_gamma_average_hand_loop():
     assert gamma_average(100.0, zeta, law)[0] == pytest.approx(want, abs=1e-12)
     u_rest = np.full((1, 7), 0.5)
     np.testing.assert_allclose(conditional(u_rest), zeta, rtol=1e-14)
-    got = heston_gamma_average(100.0, u_rest, hes, identity_transform(8))[0]
+    got = _heston_gamma_average(100.0, u_rest, hes, identity_transform(8))[0]
     assert got == pytest.approx(want, abs=1e-12)
 
 
@@ -310,15 +325,16 @@ def test_heston_gamma_average_vanishing_strike():
     hes = HestonSpec(s0=100.0, v0=0.2, r=0.04, theta_bar=0.2, nu=1.0,
                      sigma_v=0.2, rho=0.5, m=4)
     u_rest = pseudo_uniform(8, 7, ScrambleSeed(13, 0)).values
-    assert np.all(heston_gamma_average(1e-8, u_rest, hes, identity_transform(8)) <= 1e-12)
+    assert np.all(_heston_gamma_average(1e-8, u_rest, hes, identity_transform(8)) <= 1e-12)
 
 
 def test_heston_gamma_extreme_single_date():
     hes = HestonSpec(s0=100.0, v0=0.2, r=0.04, theta_bar=0.2, nu=1.0,
                      sigma_v=0.2, rho=0.5, m=1)
     u_rest = pseudo_uniform(16, 1, ScrambleSeed(14, 0)).values
-    ga = heston_gamma_extreme(np.array([95.0]), u_rest, hes, identity_transform(2))
-    gb = heston_gamma_average(95.0, u_rest, hes, identity_transform(2))
+    law, conditional = factorization(hes, identity_transform(2))
+    ga = gamma_extreme(np.array([95.0]), conditional(u_rest), law)
+    gb = _heston_gamma_average(95.0, u_rest, hes, identity_transform(2))
     np.testing.assert_allclose(ga, gb, atol=1e-12)
 
 
@@ -347,7 +363,7 @@ def test_heston_bounds_reject_unpinned_transform():
     rng = np.random.default_rng(0)
     full = qr_transform(rng.normal(size=(4, 1)))
     with pytest.raises(ValueError):
-        heston_gamma_average(100.0, np.full((1, 3), 0.5), hes, full)
+        _heston_gamma_average(100.0, np.full((1, 3), 0.5), hes, full)
 
 
 # ---------------------------------------------------------------------------
@@ -358,8 +374,9 @@ def _pointwise_check(payoff, model, transform, n=10_000, seed=100):
     problem = build_separable(payoff, model, transform)
     u = pseudo_uniform(n, problem.d, ScrambleSeed(seed, 0)).values
     direct = payoff_value(payoff, path_map(model, transform)(special.ndtri(u)))
-    inside = u[:, 0] > problem.lower_bound(u[:, 1:])
-    separated = problem.smooth_factor(u) * inside
+    zeta = problem.conditional(u[:, 1:])
+    inside = u[:, 0] > problem.lower(zeta)
+    separated = problem.factor(u[:, 0], zeta) * inside
     assert np.max(np.abs(separated - direct)) <= 1e-10
     assert inside.mean() > 0.01  # both branches genuinely exercised
     assert inside.mean() < 0.99
@@ -422,7 +439,8 @@ def test_delta_factor_independent_of_strike_indicator():
     S = paths_exp_levy(increment_law_for(BS4), BS4.s0, special.ndtri(u),
                        identity_transform(4))
     want = payoff.discount * S.mean(axis=1) / BS4.s0
-    np.testing.assert_allclose(problem.smooth_factor(u), want, atol=1e-12)
+    np.testing.assert_allclose(problem.factor(u[:, 0], problem.conditional(u[:, 1:])), want,
+                               atol=1e-12)
 
 
 def test_separable_orientation_validation():
@@ -431,7 +449,8 @@ def test_separable_orientation_validation():
     payoff = PayoffSpec.for_model("binary-asian", BS4, 100.0)
     problem = build_separable(payoff, BS4, identity_transform(4))
     u = pseudo_uniform(10, 4, ScrambleSeed(16, 0)).values
-    g = problem.lower_bound(u[:, 1:])
+    zeta = problem.conditional(u[:, 1:])
+    g = problem.lower(zeta)
     assert np.all((g >= 0.0) & (g <= 1.0))
     np.testing.assert_array_equal(evaluate_indicator(problem, u),
-                                  problem.smooth_factor(u) * (u[:, 0] > g))
+                                  problem.factor(u[:, 0], zeta) * (u[:, 0] > g))

@@ -21,7 +21,6 @@ from smoothqmc.models import (
     HestonSpec,
     NigSpec,
     _nig_gamma,
-    nominal_dim,
     path_map,
 )
 from smoothqmc.payoffs import PAYOFF_KINDS, PayoffSpec, build_separable, payoff_value
@@ -74,7 +73,7 @@ def test_indicator_matches_payoff_of_direct_paths(data, method, seed):
     model = data.draw(models())
     payoff = data.draw(payoffs(model))
     transform = method_transform(method, payoff, model)
-    u = pseudo_uniform(N, nominal_dim(model), ScrambleSeed(seed)).values
+    u = pseudo_uniform(N, model.d, ScrambleSeed(seed)).values
     direct = payoff_value(payoff, path_map(model, transform)(special.ndtri(u)))
     separated = evaluate_indicator(build_separable(payoff, model, transform), u)
     np.testing.assert_allclose(separated, direct, rtol=1e-10, atol=1e-10)
@@ -89,7 +88,7 @@ def test_smoothed_integrand_is_unbiased_for_the_raw_one(data, method, seed):
     model = data.draw(models())
     payoff = data.draw(payoffs(model))
     transform = method_transform(method, payoff, model)
-    u = pseudo_uniform(1024, nominal_dim(model), ScrambleSeed(seed)).values
+    u = pseudo_uniform(1024, model.d, ScrambleSeed(seed)).values
     raw = payoff_value(payoff, path_map(model, transform)(special.ndtri(u)))
     # every payoff here is nonzero exactly on its payout region; with fewer
     # than 10 points on one side of it the raw mean misses that side's
@@ -117,7 +116,7 @@ def test_pinned_rotation_pins_the_first_coordinate(data, seed):
     # sQMC-II's rotation: mqr, or the identity when no weight falls past z_1
     model = data.draw(models(min_m=2))
     payoff = data.draw(payoffs(model))
-    d = nominal_dim(model)
+    d = model.d
     transform = method_transform("sQMC-II", payoff, model)
     z = special.ndtri(pseudo_uniform(N, d, ScrambleSeed(seed)).values)
     np.testing.assert_array_equal(apply_transform(transform, z)[:, 0], z[:, 0])

@@ -11,7 +11,6 @@ from smoothqmc.models import (
     BlackScholesSpec,
     HestonSpec,
     NigSpec,
-    nominal_dim,
     path_map,
 )
 from smoothqmc.payoffs import PayoffSpec, SeparableProblem, build_separable
@@ -135,7 +134,7 @@ def test_smoothing_restores_continuity_at_the_boundary():
     # one moves in proportion to the offset
     problem = _problem("asian-delta")
     v = np.full((1, 15), 0.5)
-    g1 = float(problem.lower_bound(v)[0])
+    g1 = float(problem.lower(problem.conditional(v))[0])
     assert 0.01 < g1 < 0.99
     prev = None
     for delta in (1e-3, 1e-4, 1e-5):
@@ -192,7 +191,7 @@ def test_variance_bound_builds_one_conditional_path():
     assert calls == [4096]
     u = pseudo_uniform(4096, problem.d, ScrambleSeed(14)).values
     raw, smoothed = evaluate_indicator(problem, u), evaluate_smoothed(problem, u)
-    c_hat = float(1.0 - problem.lower_bound(u[:, 1:]).min())
+    c_hat = float(1.0 - problem.lower(problem.conditional(u[:, 1:])).min())
     assert report.var_raw == float(np.var(raw, ddof=1))
     assert report.var_smoothed == float(np.var(smoothed, ddof=1))
     assert report.c_hat == c_hat
@@ -221,14 +220,14 @@ def _direct_factor(payoff, paths):
 ], ids=["bs16", "nig4", "heston4"])
 def test_smoothed_factor_matches_direct_paths_at_pushed_point(model):
     # exp(xi(u_1~)) zeta against paths rebuilt from scratch at (u_1~, u_2..u_d)
-    d = nominal_dim(model)
+    d = model.d
     u = pseudo_uniform(2000, d, ScrambleSeed(17, 0)).values
     for kind, barrier in (("binary-asian", None), ("asian-delta", None),
                           ("barrier-down-out", 90.0)):
         payoff = PayoffSpec.for_model(kind, model, 100.0, barrier)
         for transform in (identity_transform(d), mqr_transform(weight_matrix(payoff, model))):
             problem = build_separable(payoff, model, transform)
-            pushed_u1, weight = vpo_map(u[:, 0], problem.lower_bound(u[:, 1:]))
+            pushed_u1, weight = vpo_map(u[:, 0], problem.lower(problem.conditional(u[:, 1:])))
             pushed = u.copy()
             pushed[:, 0] = pushed_u1
             paths = path_map(model, transform)(special.ndtri(pushed))
