@@ -36,7 +36,6 @@ from .models import (
     increment_law_for,
     nig_density,
     nig_numerical_law,
-    nominal_dim,
     paths_exp_levy,
     paths_heston,
 )
@@ -45,10 +44,7 @@ from .payoffs import (
     SeparableProblem,
     build_separable,
     gamma_average,
-    gamma_component,
     gamma_extreme,
-    heston_gamma_average,
-    heston_gamma_extreme,
     payoff_value,
 )
 from .points import (

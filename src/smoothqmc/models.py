@@ -6,7 +6,8 @@ log-Euler scheme on interleaved (asset, variance) shocks.  This module is
 the one place that knows how a model turns normal coordinates into
 prices: path_map gives the whole path, and factorization gives the
 structure the smoothing layer relies on, S_i = exp(xi(u_1)) zeta_i(u_{2:d})
-with the law of the first log-shock xi.
+with the law of the first log-shock xi.  For every model zeta is path_map
+at z_1 = 0, times exp(-xi) there.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ __all__ = [
     "esscher_theta",
     "nig_numerical_law",
     "increment_law_for",
-    "nominal_dim",
     "paths_exp_levy",
     "paths_heston",
     "path_map",
@@ -390,9 +390,8 @@ def increment_law_for(model: ModelSpec) -> IncrementLaw:
     raise TypeError(f"{type(model).__name__} has no i.i.d. increment law")
 
 
+# not exported: only perfbench/workloads.py imports it (ROADMAP item 7)
 def nominal_dim(model: ModelSpec) -> int:
-    # the package reads model.d; this alias stays for the benchmark harness,
-    # which imports it
     return model.d
 
 
@@ -459,34 +458,30 @@ def factorization(model: ModelSpec, transform: OrthogonalTransform
                   ) -> tuple[IncrementLaw, Callable[[np.ndarray], np.ndarray]]:
     """The first-shock factorization S_i = exp(xi(u_1)) zeta_i(u_{2:d}).
 
-    Returns the law of xi and the map u_{2:d} -> zeta, the (N, m) path at
-    a zero first log-shock.  For the exponential-Levy models xi = x_1 and
-    zeta_i = s0 exp(x_2 + ... + x_i), s0 then the paths_exp_levy path of
-    u_{2:d} under the trailing block of U.  For Heston xi = c z_1 with
-    c = sqrt((1 - rho^2) v0 dt), the asset-specific shock of the first
-    log-Euler step and the only place z_1 enters the path; zeta is the
-    path at z_1 = 0.  The factorization needs the transform to pin the
+    Returns the law of xi and the map u_{2:d} -> zeta, the (N, m) path
+    with the first log-shock taken out: the model's path_map at
+    z = (0, Phi^-1(u_{2:d})) divided by exp(xi) at z_1 = 0.  For the
+    exponential-Levy models xi = x_1, so that divisor is exp(G(0)); for
+    Heston xi = c z_1 with c = sqrt((1 - rho^2) v0 dt), the asset-specific
+    shock of the first log-Euler step and the only place z_1 enters the
+    path, so it is 1.  The factorization needs the transform to pin the
     first coordinate, (Uz)_1 = z_1, so a full-qr transform is rejected.
     """
     if transform.kind == "qr":
         raise ValueError("separable form needs an identity or mqr transform; "
                          "the full-qr transform does not pin the first coordinate")
     if isinstance(model, HestonSpec):
-        c = float(np.sqrt((1.0 - model.rho ** 2) * model.v0 * model.dt))
-
-        def zeta(v):
-            v = np.atleast_2d(np.asarray(v, dtype=float))
-            z = np.zeros((v.shape[0], model.d))
-            z[:, 1:] = special.ndtri(v)
-            return paths_heston(model, z, transform)
-        return gaussian_law(0.0, c), zeta
-
-    law = increment_law_for(model)
-    rest = OrthogonalTransform(transform.U[1:, 1:],
-                               "identity" if transform.kind == "identity" else "qr")
+        law = gaussian_law(0.0, float(np.sqrt((1.0 - model.rho ** 2) * model.v0 * model.dt)))
+    else:
+        law = increment_law_for(model)
+    path = path_map(model, transform)
+    unshock = float(np.exp(-law.normal(0.0)))
 
     def zeta(v):
-        tail = paths_exp_levy(law, model.s0,
-                              special.ndtri(np.atleast_2d(np.asarray(v, dtype=float))), rest)
-        return np.concatenate([np.full((tail.shape[0], 1), float(model.s0)), tail], axis=1)
+        v = np.atleast_2d(np.asarray(v, dtype=float))
+        z = np.zeros((v.shape[0], model.d))
+        special.ndtri(v, out=z[:, 1:])
+        paths = path(z)
+        paths *= unshock
+        return paths
     return law, zeta

@@ -30,11 +30,8 @@ __all__ = [
     "PayoffSpec",
     "SeparableProblem",
     "payoff_value",
-    "gamma_component",
     "gamma_average",
     "gamma_extreme",
-    "heston_gamma_average",
-    "heston_gamma_extreme",
     "build_separable",
 ]
 
@@ -61,6 +58,8 @@ class PayoffSpec:
             raise ValueError(f"unknown payoff kind {self.kind!r}")
         if not _positive(self.strike):
             raise ValueError("strike must be positive and finite")
+        if not (_finite_real(self.discount) and self.discount >= 0):  # exp(-rT) may underflow to 0
+            raise ValueError("discount must be finite and >= 0")
         if self.kind == "barrier-down-out" and not _positive(self.barrier):
             raise ValueError("barrier-down-out needs a positive finite barrier level")
         if self.kind == "asian-delta" and not _positive(self.s0):
@@ -124,11 +123,13 @@ def gamma_extreme(kappas: np.ndarray, zeta: np.ndarray, law: IncrementLaw) -> np
     return law.cdf(np.log(ratio.max(axis=-1)))
 
 
+# not exported: only perfbench/spans.py traces it (ROADMAP item 7)
 def gamma_component(j: int, kappa: float, zeta: np.ndarray, law: IncrementLaw) -> np.ndarray:
     """Bound for the single-date condition S_j > kappa: F_xi(log(kappa / zeta_j))."""
     return law.cdf(np.log(kappa / np.asarray(zeta, dtype=float)[..., j - 1]))
 
 
+# not exported: only perfbench/spans.py traces it (ROADMAP item 7)
 def heston_gamma_average(kappa: float, u_rest: np.ndarray, spec: HestonSpec,
                          transform: OrthogonalTransform) -> np.ndarray:
     """Heston bound for S_A > kappa on the conditioning coordinates u_{2:d}."""
@@ -136,6 +137,7 @@ def heston_gamma_average(kappa: float, u_rest: np.ndarray, spec: HestonSpec,
     return gamma_average(kappa, zeta(u_rest), law)
 
 
+# not exported: only perfbench/spans.py traces it (ROADMAP item 7)
 def heston_gamma_extreme(kappas: np.ndarray, u_rest: np.ndarray, spec: HestonSpec,
                          transform: OrthogonalTransform) -> np.ndarray:
     """Heston bound for the extreme condition of gamma_extreme on u_{2:d}."""

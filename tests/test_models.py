@@ -565,7 +565,9 @@ def test_spec_validation():
     BlackScholesSpec(s0=100.0, r=0.04, sigma=0.3, T=1.0, m=1),
     NigSpec(s0=100.0, alpha=105.96, beta=-26.15, mu=1.2528, delta=4.032,
             r=0.04, T=1.0, m=1),
-], ids=["bs4", "nig4", "heston4", "bs1", "nig1"])
+    HestonSpec(s0=100.0, v0=0.2, r=0.04, theta_bar=0.2, nu=1.0,
+               sigma_v=0.2, rho=0.5, m=1),
+], ids=["bs4", "nig4", "heston4", "bs1", "nig1", "heston1"])
 def test_factorization_reproduces_paths(model):
     # exp(xi(u_1)) zeta(u_{2:d}) against the whole path map, with and
     # without a pinned rotation

@@ -113,6 +113,11 @@ def test_payoff_spec_validation():
             PayoffSpec("barrier-down-out", strike=100.0, barrier=bad)
         with pytest.raises(ValueError, match="s0"):
             PayoffSpec("asian-delta", strike=100.0, s0=bad)
+    # a discount is a finite real >= 0; 0 is what exp(-rT) underflows to
+    for bad in (-1.0, True, "1", np.nan, np.inf, 10 ** 400):
+        with pytest.raises(ValueError, match="discount"):
+            PayoffSpec("binary-asian", strike=100.0, discount=bad)
+    assert PayoffSpec("binary-asian", strike=100.0, discount=0.0).discount == 0.0
 
 
 def test_barrier_levels_fold_strike():
@@ -259,21 +264,26 @@ def test_gamma_average_is_continuous_in_conditioning():
         assert np.max(np.abs(gamma_average(100.0, _zeta(bumped, BS4.s0), law) - base)) <= 1e-4
 
 
-def test_conditional_paths_match_zero_first_increment():
-    # the production zeta map against the hand-built one, with and without
-    # a pinned rotation of the conditioning block
-    law = increment_law_for(BS4)
-    v = pseudo_uniform(64, 3, ScrambleSeed(17, 0)).values
-    got = factorization(BS4, identity_transform(4))[1](v)
-    np.testing.assert_allclose(got, _bs_zeta(v, law, BS4.s0), rtol=1e-14)
-    W = taylor_weight(lambda z: paths_exp_levy(law, BS4.s0, z, identity_transform(4)),
-                      "barrier", 4)
-    pinned = mqr_transform(W)
-    z = np.zeros((64, 4))
+@pytest.mark.parametrize("model", [
+    BS4,
+    NigSpec(s0=100.0, alpha=105.96, beta=-26.15, mu=1.2528, delta=4.032, r=0.04, T=1.0, m=4),
+    HestonSpec(s0=100.0, v0=0.2, r=0.04, theta_bar=0.2, nu=1.0, sigma_v=0.2, rho=0.5, m=4),
+], ids=["bs4", "nig4", "heston4"])
+def test_conditional_paths_match_zero_first_increment(model):
+    # the production zeta map against the path at z_1 = 0 divided by
+    # exp(xi) there, with and without a pinned rotation
+    d = model.d
+    v = pseudo_uniform(64, d - 1, ScrambleSeed(17, 0)).values
+    z = np.zeros((64, d))
     z[:, 1:] = special.ndtri(v)
-    S0 = paths_exp_levy(law, BS4.s0, z, pinned)  # first increment x_1 = a
-    np.testing.assert_allclose(factorization(BS4, pinned)[1](v), S0 / np.exp(law.normal(0.0)),
-                               rtol=1e-13)
+    W = taylor_weight(path_map(model, identity_transform(d)), "barrier", d)
+    for transform in (identity_transform(d), mqr_transform(W)):
+        law, zeta = factorization(model, transform)
+        np.testing.assert_allclose(zeta(v), path_map(model, transform)(z) / np.exp(law.normal(0.0)),
+                                   rtol=1e-13)
+    if not isinstance(model, HestonSpec):  # zeta_i = s0 exp(x_2 + ... + x_i), built by hand
+        law, zeta = factorization(model, identity_transform(d))
+        np.testing.assert_allclose(zeta(v), _bs_zeta(v, law, model.s0), rtol=1e-14)
 
 
 # ---------------------------------------------------------------------------
