@@ -7,7 +7,7 @@ the one place that knows how a model turns normal coordinates into
 prices: path_map gives the whole path, and factorization gives the
 structure the smoothing layer relies on, S_i = exp(xi(u_1)) zeta_i(u_{2:d})
 with the law of the first log-shock xi.  For every model zeta is path_map
-at z_1 = 0, times exp(-xi) there.
+at the z_1 where xi is 0, times exp(-xi) there.
 """
 
 from __future__ import annotations
@@ -460,12 +460,13 @@ def factorization(model: ModelSpec, transform: OrthogonalTransform
 
     Returns the law of xi and the map u_{2:d} -> zeta, the (N, m) path
     with the first log-shock taken out: the model's path_map at
-    z = (0, Phi^-1(u_{2:d})) divided by exp(xi) at z_1 = 0.  For the
-    exponential-Levy models xi = x_1, so that divisor is exp(G(0)); for
-    Heston xi = c z_1 with c = sqrt((1 - rho^2) v0 dt), the asset-specific
-    shock of the first log-Euler step and the only place z_1 enters the
-    path, so it is 1.  The factorization needs the transform to pin the
-    first coordinate, (Uz)_1 = z_1, so a full-qr transform is rejected.
+    z = (z_0, Phi^-1(u_{2:d})) divided by exp(xi) there, where z_0 = H(0)
+    puts xi at 0, so that the divisor neither overflows nor underflows.
+    For the exponential-Levy models xi = x_1; for Heston xi = c z_1 with
+    c = sqrt((1 - rho^2) v0 dt), the asset-specific shock of the first
+    log-Euler step and the only place z_1 enters the path, so z_0 = 0.
+    The factorization needs the transform to pin the first coordinate,
+    (Uz)_1 = z_1, so a full-qr transform is rejected.
     """
     if transform.kind == "qr":
         raise ValueError("separable form needs an identity or mqr transform; "
@@ -475,11 +476,13 @@ def factorization(model: ModelSpec, transform: OrthogonalTransform
     else:
         law = increment_law_for(model)
     path = path_map(model, transform)
-    unshock = float(np.exp(-law.normal(0.0)))
+    z0 = float(law.to_normal(0.0))  # H(0), or +/-inf past a numerical law's end nodes,
+    z0 = z0 if abs(z0) < np.inf else float(np.copysign(_Z_NODES[-1], z0))  # where G clamps
+    unshock = float(np.exp(-law.normal(z0)))
 
     def zeta(v):
         v = np.atleast_2d(np.asarray(v, dtype=float))
-        z = np.zeros((v.shape[0], model.d))
+        z = np.full((v.shape[0], model.d), z0)
         special.ndtri(v, out=z[:, 1:])
         paths = path(z)
         paths *= unshock

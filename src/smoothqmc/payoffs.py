@@ -23,6 +23,7 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import NumericalError
 from .models import HestonSpec, IncrementLaw, ModelSpec, _finite_real, factorization
 from .transforms import OrthogonalTransform
 
@@ -68,6 +69,8 @@ class PayoffSpec:
     @classmethod
     def for_model(cls, kind: str, model: ModelSpec, strike: float,
                   barrier: float | None = None) -> "PayoffSpec":
+        if -model.r * model.T > 709.782712893384:  # log of the largest float: no price fits
+            raise NumericalError(f"discount exp(-r T) overflows at r = {model.r:g}, T = {model.T:g}")
         return cls(kind=kind, strike=strike, barrier=barrier,
                    discount=float(np.exp(-model.r * model.T)), s0=model.s0)
 

@@ -567,7 +567,9 @@ def test_spec_validation():
             r=0.04, T=1.0, m=1),
     HestonSpec(s0=100.0, v0=0.2, r=0.04, theta_bar=0.2, nu=1.0,
                sigma_v=0.2, rho=0.5, m=1),
-], ids=["bs4", "nig4", "heston4", "bs1", "nig1", "heston1"])
+    # every node of this narrow step law lies above 0, so H(0) = -inf
+    NigSpec(s0=100.0, alpha=5000.0, beta=0.0, mu=0.04, delta=5e-4, r=0.04, T=1.0, m=4),
+], ids=["bs4", "nig4", "heston4", "bs1", "nig1", "heston1", "nig4-narrow"])
 def test_factorization_reproduces_paths(model):
     # exp(xi(u_1)) zeta(u_{2:d}) against the whole path map, with and
     # without a pinned rotation

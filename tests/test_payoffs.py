@@ -1,9 +1,12 @@
 """Payoff values and variable-separation bounds."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy import special
 
+from smoothqmc.errors import NumericalError
 from smoothqmc.estimators import method_transform, run
 from smoothqmc.models import (
     BlackScholesSpec,
@@ -118,6 +121,12 @@ def test_payoff_spec_validation():
         with pytest.raises(ValueError, match="discount"):
             PayoffSpec("binary-asian", strike=100.0, discount=bad)
     assert PayoffSpec("binary-asian", strike=100.0, discount=0.0).discount == 0.0
+    # a valid model whose exp(-rT) overflows has no price a float holds
+    overflow = BlackScholesSpec(s0=100.0, r=-800.0, sigma=0.3, T=1.0, m=4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NumericalError, match="r = -800, T = 1"):
+            PayoffSpec.for_model("binary-asian", overflow, 100.0)
 
 
 def test_barrier_levels_fold_strike():
@@ -267,23 +276,32 @@ def test_gamma_average_is_continuous_in_conditioning():
 @pytest.mark.parametrize("model", [
     BS4,
     NigSpec(s0=100.0, alpha=105.96, beta=-26.15, mu=1.2528, delta=4.032, r=0.04, T=1.0, m=4),
-    HestonSpec(s0=100.0, v0=0.2, r=0.04, theta_bar=0.2, nu=1.0, sigma_v=0.2, rho=0.5, m=4),
-], ids=["bs4", "nig4", "heston4"])
+], ids=["bs4", "nig4"])
 def test_conditional_paths_match_zero_first_increment(model):
-    # the production zeta map against the path at z_1 = 0 divided by
-    # exp(xi) there, with and without a pinned rotation
-    d = model.d
-    v = pseudo_uniform(64, d - 1, ScrambleSeed(17, 0)).values
-    z = np.zeros((64, d))
-    z[:, 1:] = special.ndtri(v)
-    W = taylor_weight(path_map(model, identity_transform(d)), "barrier", d)
-    for transform in (identity_transform(d), mqr_transform(W)):
-        law, zeta = factorization(model, transform)
-        np.testing.assert_allclose(zeta(v), path_map(model, transform)(z) / np.exp(law.normal(0.0)),
-                                   rtol=1e-13)
-    if not isinstance(model, HestonSpec):  # zeta_i = s0 exp(x_2 + ... + x_i), built by hand
-        law, zeta = factorization(model, identity_transform(d))
-        np.testing.assert_allclose(zeta(v), _bs_zeta(v, law, model.s0), rtol=1e-14)
+    # the production zeta map against the hand-built s0 exp(x_2 + ... + x_i),
+    # x = G of the trailing block of U applied to z_{2:d}, with and without
+    # a pinned rotation (Heston zeta: test_factorization_reproduces_paths)
+    law = increment_law_for(model)
+    v = pseudo_uniform(64, 3, ScrambleSeed(17, 0)).values
+    W = taylor_weight(path_map(model, identity_transform(4)), "barrier", 4)
+    for transform in (identity_transform(4), mqr_transform(W)):
+        x_rest = law.normal(special.ndtri(v) @ transform.U[1:, 1:].T)
+        np.testing.assert_allclose(factorization(model, transform)[1](v),
+                                   _zeta(x_rest, model.s0), rtol=1e-14)
+
+
+def test_conditional_path_where_the_mean_step_leaves_the_float_range():
+    # a = (r - sigma^2/2) dt = -749.4: exp(a) underflows and exp(-a)
+    # overflows, so zeta cannot be the path at z_1 = 0 times exp(-a)
+    model = BlackScholesSpec(s0=100.0, r=0.04, sigma=10.0, T=30.0, m=2)
+    v = pseudo_uniform(64, 1, ScrambleSeed(17, 0)).values
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        zeta = factorization(model, identity_transform(2))[1](v)
+        report = run("sQMC-I", PayoffSpec.for_model("binary-asian", model, 100.0), model,
+                     n=256, reps=4, seed=1)
+    np.testing.assert_allclose(zeta, _bs_zeta(v, increment_law_for(model), model.s0), rtol=1e-13)
+    assert np.isfinite(report.estimate)
 
 
 # ---------------------------------------------------------------------------
