@@ -27,7 +27,7 @@ import numpy as np
 from scipy import special
 
 from .errors import NumericalError
-from .models import ModelSpec, path_map
+from .models import ModelSpec, _Scratch, path_map
 from .payoffs import PayoffSpec, build_separable, payoff_value
 from .points import ScrambleSeed, SobolSource, pseudo_uniform, scramble
 from .smoothing import evaluate_smoothed
@@ -122,7 +122,13 @@ def _integrand(method: str, payoff: PayoffSpec,
     transform = method_transform(method, payoff, model)
     if method in RAW_METHODS:
         paths = path_map(model, transform)
-        return lambda u: payoff_value(payoff, paths(special.ndtri(u)))
+        scratch = _Scratch()  # z = ndtri(u), and the paths it is rotated and mapped into
+
+        def raw(u):
+            shape = np.shape(u)
+            z = special.ndtri(u, out=scratch.array("z", shape))
+            return payoff_value(payoff, paths(z, out=scratch.array("paths", (*shape[:-1], model.m))))
+        return raw
     problem = build_separable(payoff, model, transform)
     return lambda u: evaluate_smoothed(problem, u)
 
@@ -134,7 +140,8 @@ def method_integrand(method: str, payoff: PayoffSpec,
     An (N, d) batch of more than 2^13 rows is evaluated over even blocks
     of at most 2^13 rows into one new float64 array, so the memory a call
     takes does not grow with N; the values are those of the whole-batch
-    call.
+    call.  The integrand keeps its batch-sized intermediate arrays, one
+    set per thread, from one call to the next.
     """
     return _row_blocked(_integrand(method, payoff, model))
 
@@ -161,7 +168,9 @@ def run(method: str, payoff: PayoffSpec, model: ModelSpec, n: int, reps: int,
     """Average the method's integrand over reps independent replicates.
 
     Replicate k draws its points from the (seed, k) stream, so the result
-    is reproducible for fixed inputs and unchanged by threads.  Timing
+    is reproducible for fixed inputs and unchanged by threads.  With one
+    thread the replicates run on the calling thread, otherwise on a pool;
+    each thread draws every replicate into one point batch.  Timing
     excludes one-time setup (weights, rotations, NIG inversion build).
     Raises NumericalError if any replicate mean is not finite.
     """
@@ -171,18 +180,23 @@ def run(method: str, payoff: PayoffSpec, model: ModelSpec, n: int, reps: int,
         raise ValueError(f"reps must be >= 2 for a replicate variance, got {reps}")
     integrand = method_integrand(method, payoff, model)
     d = model.d
+    scratch = _Scratch()
 
     def one(k: int) -> float:
         s = ScrambleSeed(seed, k)
+        u = scratch.array("points", (n, d))
         if method == "MC":
-            pts = pseudo_uniform(n, d, s)
+            pts = pseudo_uniform(n, d, s, out=u)
         else:
-            pts = scramble(SobolSource(n, d), s)
+            pts = scramble(SobolSource(n, d), s, out=u)
         return float(integrand(pts.values).mean())
 
     t0 = time.perf_counter()
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        means = np.fromiter(pool.map(one, range(reps)), dtype=float, count=reps)
+    if threads == 1:
+        means = np.fromiter(map(one, range(reps)), dtype=float, count=reps)
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            means = np.fromiter(pool.map(one, range(reps)), dtype=float, count=reps)
     wall = time.perf_counter() - t0
     if not np.all(np.isfinite(means)):
         raise NumericalError(f"{method} {payoff.kind}: non-finite replicate mean "

@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 import numbers
 import sys
+import threading
 from dataclasses import dataclass
 from typing import Callable
 
@@ -157,7 +159,8 @@ class BuildResiduals:
 class IncrementLaw:
     """One i.i.d. log-return increment as a monotone map of a standard normal.
 
-    normal(y) = F^-1(Phi(y)) maps normal coordinates to increments and
+    normal(y, out=None) = F^-1(Phi(y)) maps normal coordinates to
+    increments, into out when given (which may be y itself), and
     to_normal(x) = Phi^-1(F(x)) maps back; cdf and inv follow from the pair.
     Numerically built laws carry the residuals of their build; exact
     (Gaussian) laws leave them None.
@@ -176,7 +179,12 @@ class IncrementLaw:
 
 def gaussian_law(mean: float, scale: float) -> IncrementLaw:
     """N(mean, scale^2): the affine maps mean + scale y and (x - mean) / scale."""
-    return IncrementLaw(normal=lambda y: mean + scale * np.asarray(y, dtype=float),
+    def normal(y, out=None):
+        x = np.multiply(np.asarray(y, dtype=float), scale, out=out)
+        x += mean
+        return x
+
+    return IncrementLaw(normal=normal,
                         to_normal=lambda x: (np.asarray(x, dtype=float) - mean) / scale)
 
 
@@ -232,8 +240,9 @@ _TAIL_DECAYS = 20.0
 _NORMAL_CHUNK = 2 ** 12
 
 
-def _spline_on_z_nodes(spline, y) -> np.ndarray:
-    """spline(clip(y, -8, 8)), bit for bit, for a CubicHermiteSpline on _Z_NODES.
+def _spline_on_z_nodes(spline, y, out=None) -> np.ndarray:
+    """spline(clip(y, -8, 8)), bit for bit, for a CubicHermiteSpline on
+    _Z_NODES, into out (C-contiguous, and may be y) when given.
 
     scipy bisects for the interval z_i <= y < z_(i+1) of every value (the
     last one closed at 8).  On the uniform nodes i = floor((y + 8) 64).
@@ -243,7 +252,7 @@ def _spline_on_z_nodes(spline, y) -> np.ndarray:
     order; NaN stays NaN.
     """
     y = np.asarray(y, dtype=float)
-    out = np.empty(y.shape)
+    out = np.empty(y.shape) if out is None else out
     flat, res = y.ravel(), out.reshape(-1)
     c0, c1, c2, c3 = spline.c
     lo, hi, last = _Z_NODES[0], _Z_NODES[-1], _Z_NODES.size - 2
@@ -399,21 +408,43 @@ def nominal_dim(model: ModelSpec) -> int:
 # path construction
 
 
+class _Scratch(threading.local):
+    """Batch arrays that one owner (an integrand, a zeta map, a run call)
+    keeps from one call to the next, one set per thread.  Each is
+    allocated on first use and again only for a call that needs more, so
+    replicates reuse its pages instead of faulting in fresh ones."""
+
+    def array(self, name: str, shape: tuple, fill: float | None = None) -> np.ndarray:
+        """A C-contiguous float array of this shape on the memory called
+        name, which is new (filled with fill, if given) when too small."""
+        size = math.prod(shape)
+        buf = getattr(self, name, None)
+        if buf is None or buf.size < size:
+            buf = np.empty(size) if fill is None else np.full(size, fill)
+            setattr(self, name, buf)
+        return buf[:size].reshape(shape)
+
+
 def paths_exp_levy(law: IncrementLaw, s0: float, z: np.ndarray,
-                   transform: OrthogonalTransform) -> np.ndarray:
+                   transform: OrthogonalTransform, out: np.ndarray | None = None) -> np.ndarray:
     """Price paths S_i = s0 exp(x_1 + ... + x_i) from an (N, m) batch of
     normal coordinates z: the increments are law.normal of the
-    transformed coordinates Uz, a new array that is summed, exponentiated
-    and scaled in place.
+    transformed coordinates Uz, written into out (C-contiguous) when given
+    and otherwise into a new array, then summed, exponentiated and scaled
+    in place.
     """
-    x = law.normal(apply_transform(transform, np.asarray(z, dtype=float)))
+    z = np.asarray(z, dtype=float)
+    y = apply_transform(transform, z, out=out)
+    x = law.normal(y, out=out if y is z else y)
     np.exp(np.cumsum(x, axis=1, out=x), out=x)
     x *= s0
     return x
 
 
-def paths_heston(spec: HestonSpec, z: np.ndarray, transform: OrthogonalTransform) -> np.ndarray:
-    """Log-Euler Heston paths from an (N, 2m) batch of normal coordinates.
+def paths_heston(spec: HestonSpec, z: np.ndarray, transform: OrthogonalTransform,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """Log-Euler Heston paths from an (N, 2m) batch of normal coordinates,
+    written into out (N x m) when given and otherwise into a new array.
 
     Coordinates are interleaved (z_1^1, z_1^2, ..., z_m^1, z_m^2): odd
     positions are asset-specific shocks, even positions drive the
@@ -426,32 +457,53 @@ def paths_heston(spec: HestonSpec, z: np.ndarray, transform: OrthogonalTransform
     z = np.asarray(z, dtype=float)
     if z.shape[1] != spec.d:
         raise ValueError(f"Heston needs 2m = {spec.d} coordinates, got {z.shape[1]}")
-    # one row per coordinate, so each step reads contiguous memory
-    y = np.ascontiguousarray(apply_transform(transform, z).T)
+    # a copy with one row per coordinate, so each step reads contiguous memory
+    y = np.array(apply_transform(transform, z).T, order="C")
     z_asset, z_var = y[0::2], y[1::2]
     n = z.shape[0]
-    dt, rho = spec.dt, spec.rho
-    rho_hat = np.sqrt(1.0 - rho ** 2)
+    dt = spec.dt
+    # the asset shock rho_hat z_asset + rho z_var of every step; step i
+    # then overwrites row i with its log price
+    z_asset *= np.sqrt(1.0 - spec.rho ** 2)
+    z_asset += spec.rho * z_var
+    log_s = z_asset
     v = np.full(n, spec.v0)
-    log_s = np.full(n, np.log(spec.s0))
-    out = np.empty((spec.m, n))
+    vp, vol, tmp = np.empty(n), np.empty(n), np.empty(n)
+    prev = np.log(spec.s0)
     for i in range(spec.m):
-        vp = np.maximum(v, 0.0)
-        vol = np.sqrt(vp * dt)
-        log_s = log_s + (spec.r - 0.5 * vp) * dt + vol * (rho_hat * z_asset[i] + rho * z_var[i])
-        out[i] = log_s
-        v = v + spec.nu * (spec.theta_bar - vp) * dt + spec.sigma_v * vol * z_var[i]
-    np.exp(out, out=out)
-    return np.ascontiguousarray(out.T)
+        np.maximum(v, 0.0, out=vp)
+        np.sqrt(np.multiply(vp, dt, out=vol), out=vol)
+        # log S += (r - V+/2) dt + vol shock
+        np.multiply(vp, 0.5, out=tmp)
+        np.subtract(spec.r, tmp, out=tmp)
+        tmp *= dt
+        tmp += prev
+        log_s[i] *= vol
+        log_s[i] += tmp
+        prev = log_s[i]
+        # V += nu (theta_bar - V+) dt + sigma_v vol z_var
+        np.subtract(spec.theta_bar, vp, out=tmp)
+        tmp *= spec.nu
+        tmp *= dt
+        v += tmp
+        np.multiply(vol, spec.sigma_v, out=tmp)
+        tmp *= z_var[i]
+        v += tmp
+    np.exp(log_s, out=log_s)
+    if out is None:
+        return np.ascontiguousarray(log_s.T)
+    np.copyto(out, log_s.T)
+    return out
 
 
 def path_map(model: ModelSpec,
              transform: OrthogonalTransform) -> Callable[[np.ndarray], np.ndarray]:
-    """The map from normal coordinates z to the model's (N, m) price paths."""
+    """The map from normal coordinates z to the model's (N, m) price paths,
+    called as paths(z, out=None) and written into out when given."""
     if isinstance(model, HestonSpec):
-        return lambda z: paths_heston(model, z, transform)
+        return lambda z, out=None: paths_heston(model, z, transform, out)
     law = increment_law_for(model)
-    return lambda z: paths_exp_levy(law, model.s0, z, transform)
+    return lambda z, out=None: paths_exp_levy(law, model.s0, z, transform, out)
 
 
 def factorization(model: ModelSpec, transform: OrthogonalTransform
@@ -479,12 +531,11 @@ def factorization(model: ModelSpec, transform: OrthogonalTransform
     z0 = float(law.to_normal(0.0))  # H(0), or +/-inf past a numerical law's end nodes,
     z0 = z0 if abs(z0) < np.inf else float(np.copysign(_Z_NODES[-1], z0))  # where G clamps
     unshock = float(np.exp(-law.normal(z0)))
+    scratch = _Scratch()  # the (z_0, z_{2:d}) batch and its paths; zeta is new
 
     def zeta(v):
         v = np.atleast_2d(np.asarray(v, dtype=float))
-        z = np.full((v.shape[0], model.d), z0)
+        z = scratch.array("z", (v.shape[0], model.d), fill=z0)
         special.ndtri(v, out=z[:, 1:])
-        paths = path(z)
-        paths *= unshock
-        return paths
+        return np.multiply(path(z, out=scratch.array("paths", (v.shape[0], model.m))), unshock)
     return law, zeta

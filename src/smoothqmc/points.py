@@ -115,8 +115,9 @@ def _direction_integers(d: int) -> np.ndarray:
 
 
 def _digital_points(n: int, d: int, start: int, directions: np.ndarray,
-                    shift: np.ndarray | None = None) -> np.ndarray:
-    """Net points with indices start..start+n-1, in Gray-code order.
+                    shift: np.ndarray | None = None, out: np.ndarray | None = None) -> np.ndarray:
+    """Net points with indices start..start+n-1, in Gray-code order, in
+    out when it is given and otherwise in a new (n, d) array.
 
     Point i XORs the direction columns over the set bits of gray(i) =
     i ^ (i >> 1).  gray(i) differs from gray(i-1) only in bit ctz(i), the
@@ -141,7 +142,7 @@ def _digital_points(n: int, d: int, start: int, directions: np.ndarray,
     # ctz < 32, so "clip" never acts; unlike "raise", it writes into out unbuffered
     np.take(directions.T, ctz, axis=0, out=x[1:], mode="clip")
     np.bitwise_xor.accumulate(x, axis=0, out=x)
-    out = x * EPS
+    out = np.multiply(x, EPS, out=out)
     return np.clip(out, EPS, 1.0 - EPS, out=out)
 
 
@@ -173,8 +174,9 @@ def _scramble_directions(directions: np.ndarray, rng: np.random.Generator) -> np
     return (digits * _DIGIT_WEIGHTS[None, :, None]).sum(axis=1, dtype=np.uint64).astype(np.uint32)
 
 
-def scramble(source: SobolSource, seed: ScrambleSeed) -> PointSet:
-    """Scrambled Sobol' points: linear matrix scramble plus digital shift.
+def scramble(source: SobolSource, seed: ScrambleSeed, out: np.ndarray | None = None) -> PointSet:
+    """Scrambled Sobol' points: linear matrix scramble plus digital shift,
+    written into out (n x d floats) when given and otherwise into a new array.
 
     The unit lower-triangular digit scramble keeps the digital-net
     structure; the shift makes every point uniform on (0, 1)^d.  Indices
@@ -185,7 +187,7 @@ def scramble(source: SobolSource, seed: ScrambleSeed) -> PointSet:
     rng = np.random.default_rng([seed.seed, seed.replicate_index, 1])
     scrambled = _scramble_directions(directions, rng)
     shift = rng.integers(0, 2 ** N_BITS, size=source.d, dtype=np.uint32)
-    return PointSet(_digital_points(source.n, source.d, 0, scrambled, shift))
+    return PointSet(_digital_points(source.n, source.d, 0, scrambled, shift, out))
 
 
 def scrambled_sobol(n: int, d: int, seed: ScrambleSeed) -> PointSet:
@@ -193,9 +195,12 @@ def scrambled_sobol(n: int, d: int, seed: ScrambleSeed) -> PointSet:
     return scramble(SobolSource(n, d), seed)
 
 
-def pseudo_uniform(n: int, d: int, seed: ScrambleSeed) -> PointSet:
-    """I.i.d. uniforms from a reproducible counter-seeded generator."""
+def pseudo_uniform(n: int, d: int, seed: ScrambleSeed, out: np.ndarray | None = None) -> PointSet:
+    """I.i.d. uniforms from a reproducible counter-seeded generator, written
+    into out (n x d floats, C-contiguous) when given and otherwise into a
+    new array."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     rng = np.random.default_rng([seed.seed, seed.replicate_index, 0])
-    return PointSet(np.clip(rng.random((n, d)), EPS, 1.0 - EPS))
+    u = rng.random((n, d), out=out)
+    return PointSet(np.clip(u, EPS, 1.0 - EPS, out=u))

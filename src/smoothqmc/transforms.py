@@ -149,10 +149,13 @@ def taylor_weight(path_map, payoff_kind: str, d: int) -> np.ndarray:
     return W
 
 
-def apply_transform(transform: OrthogonalTransform, z: np.ndarray) -> np.ndarray:
-    """Row-wise U z for a (N, d) batch."""
+def apply_transform(transform: OrthogonalTransform, z: np.ndarray,
+                    out: np.ndarray | None = None) -> np.ndarray:
+    """Row-wise U z for a (N, d) batch, written into out when given and
+    otherwise into a new array.  The identity returns z itself and leaves
+    out alone."""
     if z.shape[-1] != transform.d:
         raise ValueError(f"dimension mismatch: points have d={z.shape[-1]}, transform d={transform.d}")
     if transform.kind == "identity":
         return z
-    return z @ transform.U.T
+    return np.matmul(z, transform.U.T, out=out)

@@ -101,6 +101,18 @@ def test_smoothed_run_is_thread_count_invariant(model, payoff_kind):
     assert a.replicate_variance == b.replicate_variance
 
 
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("model", [BS, NIG, HES], ids=["bs16", "nig16", "hes16"])
+def test_every_cell_is_thread_count_invariant_over_row_blocks(model, method):
+    # n = 12288 runs two row blocks of 6144, so each thread's arrays are
+    # reused across row blocks and replicates
+    payoff = PayoffSpec.for_model("barrier-down-out", model, 100.0, 90.0)
+    a = run(method, payoff, model, n=12288, reps=4, seed=11, threads=1)
+    b = run(method, payoff, model, n=12288, reps=4, seed=11, threads=2)
+    assert a.estimate == b.estimate
+    assert a.replicate_variance == b.replicate_variance
+
+
 def test_single_step_pinned_rotation_is_the_identity():
     one = BlackScholesSpec(s0=100.0, r=0.04, sigma=0.3, T=1.0, m=1)
     payoff = PayoffSpec.for_model("asian-delta", one, 100.0)
