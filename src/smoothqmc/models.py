@@ -435,6 +435,7 @@ def paths_exp_levy(law: IncrementLaw, s0: float, z: np.ndarray,
     """
     z = np.asarray(z, dtype=float)
     y = apply_transform(transform, z, out=out)
+    # the identity hands back z itself, which stays the caller's
     x = law.normal(y, out=out if y is z else y)
     np.exp(np.cumsum(x, axis=1, out=x), out=x)
     x *= s0
@@ -489,10 +490,8 @@ def paths_heston(spec: HestonSpec, z: np.ndarray, transform: OrthogonalTransform
         np.multiply(vol, spec.sigma_v, out=tmp)
         tmp *= z_var[i]
         v += tmp
-    np.exp(log_s, out=log_s)
-    if out is None:
-        return np.ascontiguousarray(log_s.T)
-    np.copyto(out, log_s.T)
+    out = np.empty((n, spec.m)) if out is None else out
+    np.copyto(out, np.exp(log_s, out=log_s).T)
     return out
 
 
@@ -531,11 +530,13 @@ def factorization(model: ModelSpec, transform: OrthogonalTransform
     z0 = float(law.to_normal(0.0))  # H(0), or +/-inf past a numerical law's end nodes,
     z0 = z0 if abs(z0) < np.inf else float(np.copysign(_Z_NODES[-1], z0))  # where G clamps
     unshock = float(np.exp(-law.normal(z0)))
-    scratch = _Scratch()  # the (z_0, z_{2:d}) batch and its paths; zeta is new
+    scratch = _Scratch()  # the (z_0, z_{2:d}) batch; the paths are new
 
     def zeta(v):
         v = np.atleast_2d(np.asarray(v, dtype=float))
         z = scratch.array("z", (v.shape[0], model.d), fill=z0)
         special.ndtri(v, out=z[:, 1:])
-        return np.multiply(path(z, out=scratch.array("paths", (v.shape[0], model.m))), unshock)
+        paths = path(z)
+        paths *= unshock
+        return paths
     return law, zeta
