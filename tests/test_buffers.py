@@ -35,7 +35,7 @@ def _uniforms(d, k):
 
 
 def _assert_fresh(f, a, b):
-    a_in, b_in = a.copy(), b.copy()
+    a_in, b_in = np.copy(a), np.copy(b)
     first = f(a)
     kept = first.copy()
     second = f(b)
@@ -94,7 +94,7 @@ def test_point_sets_return_new_arrays_or_out():
         return pseudo_uniform(N, 8, ScrambleSeed(5, k), out=out).values
 
     for points in (sobol, mc):
-        _assert_fresh(lambda k: points(int(k[0])), np.zeros(1), np.ones(1))
+        _assert_fresh(points, 0, 1)
         out = np.empty((N, 8))
         assert points(0, out=out) is out
         np.testing.assert_array_equal(out, points(0))
