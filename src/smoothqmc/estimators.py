@@ -33,6 +33,7 @@ from .points import ScrambleSeed, SobolSource, pseudo_uniform, scramble
 from .smoothing import evaluate_smoothed
 from .transforms import (
     OrthogonalTransform,
+    _even_bounds,
     identity_transform,
     mqr_transform,
     qr_transform,
@@ -107,11 +108,8 @@ def _row_blocked(integrand: Callable[[np.ndarray], np.ndarray]
     def blocked(u):
         if np.ndim(u) != 2 or len(u) <= _ROW_BLOCK:
             return integrand(u)
-        n = len(u)
-        k = -(-n // _ROW_BLOCK)
-        out = np.empty(n)
-        for i in range(k):
-            a, b = i * n // k, (i + 1) * n // k
+        out = np.empty(len(u))
+        for a, b in _even_bounds(len(u), _ROW_BLOCK):
             out[a:b] = integrand(u[a:b])
         return out
     return blocked

@@ -25,7 +25,7 @@ import numpy as np
 from scipy import special
 
 from .errors import DistributionBuildError, NoEsscherRootError
-from .transforms import OrthogonalTransform, apply_transform
+from .transforms import OrthogonalTransform, _rotation_slices, apply_transform
 
 __all__ = [
     "BlackScholesSpec",
@@ -458,10 +458,18 @@ def paths_heston(spec: HestonSpec, z: np.ndarray, transform: OrthogonalTransform
     z = np.asarray(z, dtype=float)
     if z.shape[1] != spec.d:
         raise ValueError(f"Heston needs 2m = {spec.d} coordinates, got {z.shape[1]}")
-    # a copy with one row per coordinate, so each step reads contiguous memory
-    y = np.array(apply_transform(transform, z).T, order="C")
-    z_asset, z_var = y[0::2], y[1::2]
     n = z.shape[0]
+    # a copy with one row per coordinate, so each step reads contiguous
+    # memory; a rotation goes into it one slice at a time through a small buffer
+    if transform.kind == "identity":
+        y = np.array(z.T, order="C")
+    else:
+        slices = _rotation_slices(n, spec.d)
+        y = np.empty((spec.d, n))
+        buf = np.empty((max(b - a for a, b in slices), spec.d))
+        for a, b in slices:
+            y[:, a:b] = apply_transform(transform, z[a:b], out=buf[:b - a]).T
+    z_asset, z_var = y[0::2], y[1::2]
     dt = spec.dt
     # the asset shock rho_hat z_asset + rho z_var of every step; step i
     # then overwrites row i with its log price

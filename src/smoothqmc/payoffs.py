@@ -119,11 +119,17 @@ def gamma_extreme(kappas: np.ndarray, zeta: np.ndarray, law: IncrementLaw) -> np
     """Bound for the extreme condition {S_j > kappa_j for all j} over
     per-step levels kappa_j: u_1 > max_j F_xi(log(kappa_j / zeta_j)).
     F_xi and log are monotone, so that is one cdf per path,
-    F_xi(log(max_j kappa_j / zeta_j))."""
+    F_xi(log(max_j kappa_j / zeta_j)); the max runs over the dates one
+    column at a time, so no (..., m) array of ratios is made."""
+    zeta = np.asarray(zeta, dtype=float)
+    kappas = np.broadcast_to(np.asarray(kappas, dtype=float), zeta.shape[-1:])
+    worst, ratio = np.empty(zeta.shape[:-1]), np.empty(zeta.shape[:-1])
     # a zeta_j at or near 0 knocks the path out for any u_1: ratio +inf, Gamma 1
     with np.errstate(divide="ignore", over="ignore"):
-        ratio = np.asarray(kappas, dtype=float) / np.asarray(zeta, dtype=float)
-    return law.cdf(np.log(ratio.max(axis=-1)))
+        np.divide(kappas[0], zeta[..., 0], out=worst)
+        for j in range(1, zeta.shape[-1]):
+            np.maximum(worst, np.divide(kappas[j], zeta[..., j], out=ratio), out=worst)
+    return law.cdf(np.log(worst))
 
 
 # not exported: only perfbench/spans.py traces it (ROADMAP item 7)

@@ -20,6 +20,14 @@ from .errors import DegenerateWeightError
 _ORTHO_TOL = 1e-10
 _RANK_TOL = 1e-10
 _FD_STEP = 1e-5  # central-difference step of taylor_weight
+# OpenBLAS runs a GEMM with M*N*K <= 2^18 on the calling thread
+# (interface/gemm.c), so a rotation sliced to that size wakes no BLAS
+# worker, and none is left spinning on a core that a replicate thread
+# needs.  Slices keep at least 64 rows, as fewer rows take other kernels;
+# past d = 64 no such slice stays on the calling thread, so the product
+# stays whole there (slicing it would cost calls and change its bits).
+_SERIAL_GEMM = 2 ** 18
+_MIN_SLICE = 64
 
 __all__ = [
     "OrthogonalTransform",
@@ -149,13 +157,36 @@ def taylor_weight(path_map, payoff_kind: str, d: int) -> np.ndarray:
     return W
 
 
+def _even_bounds(n: int, most: int) -> list[tuple[int, int]]:
+    """Bounds (i n // k, (i + 1) n // k), i < k, of n rows cut into the
+    fewest k parts of at most most rows; part sizes differ by at most 1."""
+    k = max(1, -(-n // most))
+    return [(i * n // k, (i + 1) * n // k) for i in range(k)]
+
+
+def _rotation_slices(n: int, d: int) -> list[tuple[int, int]]:
+    """The row slices apply_transform rotates an (n, d) batch in: even
+    slices of at most 2^18 // d^2 rows, or the whole batch where that is
+    fewer than 64 rows (d > 64)."""
+    most = _SERIAL_GEMM // d ** 2
+    return _even_bounds(n, most) if most >= _MIN_SLICE else [(0, n)]
+
+
 def apply_transform(transform: OrthogonalTransform, z: np.ndarray,
                     out: np.ndarray | None = None) -> np.ndarray:
     """Row-wise U z for a (N, d) batch, written into out when given and
     otherwise into a new array.  The identity returns z itself and leaves
-    out alone."""
+    out alone.  The product runs over the even row slices of
+    _rotation_slices, each on the calling thread."""
     if z.shape[-1] != transform.d:
         raise ValueError(f"dimension mismatch: points have d={z.shape[-1]}, transform d={transform.d}")
     if transform.kind == "identity":
         return z
-    return np.matmul(z, transform.U.T, out=out)
+    Ut = transform.U.T
+    if z.ndim != 2:
+        return np.matmul(z, Ut, out=out)
+    if out is None:
+        out = np.empty(z.shape, dtype=np.result_type(z, Ut))
+    for a, b in _rotation_slices(len(z), transform.d):
+        np.matmul(z[a:b], Ut, out=out[a:b])
+    return out

@@ -485,6 +485,17 @@ def test_heston_paths_match_the_column_loop():
     np.testing.assert_array_equal(S, np.exp(out))
 
 
+def test_heston_rotation_by_slices_gives_the_pre_rotated_path_bits():
+    # paths_heston rotates one slice at a time into its coordinate-major
+    # copy; over several uneven slices that equals the path of z U^T
+    hes = HestonSpec(s0=100.0, v0=0.2, r=0.04, theta_bar=0.2, nu=1.0, sigma_v=0.2, rho=0.5, m=16)
+    transform = mqr_transform(taylor_weight(
+        lambda z: paths_heston(hes, z, identity_transform(32)), "average", 32))
+    z = np.random.default_rng(36).normal(size=(8195, 32))
+    np.testing.assert_array_equal(paths_heston(hes, z, transform),
+                                  paths_heston(hes, z @ transform.U.T, identity_transform(32)))
+
+
 @pytest.mark.parametrize("nu, sigma_v, rho", [(1.0, 1.0, -0.7), (0.5, 1.5, -0.9)],
                          ids=["sigma_v-1.0", "sigma_v-1.5"])
 def test_heston_discounted_price_is_a_martingale_past_feller(nu, sigma_v, rho):

@@ -252,6 +252,23 @@ def test_gamma_extreme_is_the_max_of_the_per_date_cdfs(model, n):
                                   law.cdf(np.log(kappas / zeta)).max(axis=-1))
 
 
+def test_gamma_extreme_matches_the_ratio_max_where_zeta_holds_zeros():
+    # the running max over dates gives the bits of the (N, m) ratio max;
+    # a zeta_j of 0 still reads as ratio +inf, Gamma 1, with no warning
+    law = increment_law_for(BS4)
+    zeta = _bs_zeta(pseudo_uniform(64, 3, ScrambleSeed(11, 0)).values, law, BS4.s0)
+    zeta[::5, 1] = 0.0
+    zeta[::7, 3] = 0.0
+    levels = np.array([90.0, 90, 90, 100.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g = gamma_extreme(levels, zeta, law)
+    with np.errstate(divide="ignore"):
+        old = law.cdf(np.log((levels / zeta).max(axis=-1)))
+    np.testing.assert_array_equal(g, old)
+    assert np.all(g[::5] == 1.0) and np.all(g[::7] == 1.0) and np.any(g < 1.0)
+
+
 def test_gamma_bounds_stay_in_unit_interval():
     law = increment_law_for(BS4)
     v = pseudo_uniform(256, 3, ScrambleSeed(10, 0)).values

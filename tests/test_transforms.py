@@ -12,6 +12,7 @@ from smoothqmc.models import (
     paths_heston,
 )
 from smoothqmc.transforms import (
+    _rotation_slices,
     apply_transform,
     identity_transform,
     mqr_transform,
@@ -165,6 +166,37 @@ def test_apply_transform_identity_and_isometry():
     assert np.max(np.abs(np.linalg.norm(y, axis=1) - np.linalg.norm(z, axis=1))) <= 1e-12
     with pytest.raises(ValueError):
         apply_transform(U, rng.normal(size=(3, 5)))
+
+
+@pytest.mark.parametrize("d", [2, 8, 16, 32, 64])
+def test_sliced_rotation_gives_the_whole_product_bits(d):
+    # the even row slices apply_transform multiplies in give the bits of
+    # one product over the whole batch, with and without out
+    rng = np.random.default_rng(d)
+    W = rng.normal(size=(d, 2))
+    for transform in (mqr_transform(W), qr_transform(W)):
+        for n in (1, 2, 255, 4096, 8195, 12288):
+            z = rng.normal(size=(n, d))
+            whole = np.matmul(z, transform.U.T)
+            np.testing.assert_array_equal(apply_transform(transform, z), whole)
+            out = np.empty((n, d))
+            assert apply_transform(transform, z, out=out) is out
+            np.testing.assert_array_equal(out, whole)
+
+
+@pytest.mark.parametrize("d", [1, 2, 16, 32, 64, 65, 90, 128, 252])
+def test_rotation_slices_are_even_and_at_most_the_serial_gemm_size(d):
+    most = 2 ** 18 // d ** 2
+    for n in (0, 1, 63, 64, 65, 255, 1025, 4096, 8192, 8195, 12288, 2 ** 18 + 1):
+        bounds = _rotation_slices(n, d)
+        if most < 64:  # past d = 64 no slice of 64 rows is a serial GEMM
+            assert bounds == [(0, n)]
+            continue
+        sizes = [b - a for a, b in bounds]
+        assert bounds[0][0] == 0 and bounds[-1][1] == n
+        assert all(b == a for (_, b), (a, _) in zip(bounds, bounds[1:]))
+        assert max(sizes) <= most and max(sizes) - min(sizes) <= 1
+        assert len(bounds) == max(1, -(-n // most))  # the fewest slices that fit
 
 
 def test_transform_determinism():
