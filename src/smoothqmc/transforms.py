@@ -23,9 +23,9 @@ _FD_STEP = 1e-5  # central-difference step of taylor_weight
 # OpenBLAS runs a GEMM with M*N*K <= 2^18 on the calling thread
 # (interface/gemm.c), so a rotation sliced to that size wakes no BLAS
 # worker, and none is left spinning on a core that a replicate thread
-# needs.  Slices keep at least 64 rows, as fewer rows take other kernels;
-# past d = 64 no such slice stays on the calling thread, so the product
-# stays whole there (slicing it would cost calls and change its bits).
+# needs.  Where that cap is under 64 rows (d > 64) the product stays
+# whole: fewer rows take other kernels, and a 64-row slice there is no
+# longer serial, so slicing would only cost calls and change bits.
 _SERIAL_GEMM = 2 ** 18
 _MIN_SLICE = 64
 
@@ -177,16 +177,13 @@ def apply_transform(transform: OrthogonalTransform, z: np.ndarray,
     """Row-wise U z for a (N, d) batch, written into out when given and
     otherwise into a new array.  The identity returns z itself and leaves
     out alone.  The product runs over the even row slices of
-    _rotation_slices, each on the calling thread."""
+    _rotation_slices, which up to d = 64 are small enough for BLAS to
+    keep on the calling thread."""
     if z.shape[-1] != transform.d:
         raise ValueError(f"dimension mismatch: points have d={z.shape[-1]}, transform d={transform.d}")
     if transform.kind == "identity":
         return z
-    Ut = transform.U.T
-    if z.ndim != 2:
-        return np.matmul(z, Ut, out=out)
-    if out is None:
-        out = np.empty(z.shape, dtype=np.result_type(z, Ut))
+    out = np.empty(z.shape) if out is None else out
     for a, b in _rotation_slices(len(z), transform.d):
-        np.matmul(z[a:b], Ut, out=out[a:b])
+        np.matmul(z[a:b], transform.U.T, out=out[a:b])
     return out
