@@ -18,6 +18,8 @@ byte-stable under a fixed master seed.
 from __future__ import annotations
 
 import dataclasses
+import os
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -94,6 +96,31 @@ def method_transform(method: str, payoff: PayoffSpec, model: ModelSpec) -> Ortho
 # most of the saving on 2^18-point effective-dimension calls.
 _ROW_BLOCK = 2 ** 13
 
+_row_pool: ThreadPoolExecutor | None = None
+
+
+def _row_blocks_pool() -> ThreadPoolExecutor:
+    """The process-wide pool that runs the row blocks of a main-thread
+    call, one worker per CPU the process may use, built on first use."""
+    global _row_pool
+    if _row_pool is None:
+        try:
+            workers = len(os.sched_getaffinity(0))
+        except AttributeError:  # no CPU affinity on this platform
+            workers = os.cpu_count() or 1
+        _row_pool = ThreadPoolExecutor(max_workers=workers, thread_name_prefix="smoothqmc-rows")
+    return _row_pool
+
+
+def _forget_row_pool() -> None:
+    # a forked child has none of the parent's threads, so it builds its own pool
+    global _row_pool
+    _row_pool = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_row_pool)
+
 
 def _row_blocked(integrand: Callable[[np.ndarray], np.ndarray]
                  ) -> Callable[[np.ndarray], np.ndarray]:
@@ -103,14 +130,23 @@ def _row_blocked(integrand: Callable[[np.ndarray], np.ndarray]
     The blocks split the rows evenly, so none is shorter than half of
     _ROW_BLOCK: OpenBLAS takes a product z @ U.T of one row or a few
     dozen rows through other kernels, which round differently, so a short
-    tail block would change the bits of the rotation.
+    tail block would change the bits of the rotation.  Called on the main
+    thread, the blocks run on the process-wide pool; on any other thread
+    (a replicate of run, or a pool worker) they run inline, so pools never
+    nest.  Each block computes the same bits wherever it runs.
     """
     def blocked(u):
         if np.ndim(u) != 2 or len(u) <= _ROW_BLOCK:
             return integrand(u)
         out = np.empty(len(u))
-        for a, b in _even_bounds(len(u), _ROW_BLOCK):
+
+        def block(bounds):
+            a, b = bounds
             out[a:b] = integrand(u[a:b])
+
+        on_main = threading.current_thread() is threading.main_thread()
+        # list() runs every block and re-raises the first error a block raised
+        list((_row_blocks_pool().map if on_main else map)(block, _even_bounds(len(u), _ROW_BLOCK)))
         return out
     return blocked
 
@@ -138,7 +174,8 @@ def method_integrand(method: str, payoff: PayoffSpec,
     An (N, d) batch of more than 2^13 rows is evaluated over even blocks
     of at most 2^13 rows into one new float64 array, so the memory a call
     takes does not grow with N; the values are those of the whole-batch
-    call.  The integrand keeps its batch-sized intermediate arrays, one
+    call.  A call from the main thread spreads the blocks over the CPUs
+    the process may use.  The integrand keeps its batch-sized intermediate arrays, one
     set per thread, from one call to the next.
     """
     return _row_blocked(_integrand(method, payoff, model))

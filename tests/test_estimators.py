@@ -1,11 +1,15 @@
 """Replicated estimators and variance-reduction bookkeeping."""
 
+import multiprocessing
+import threading
+
 import numpy as np
 import pytest
 from scipy import special
 
 from smoothqmc.estimators import (
     _ROW_BLOCK,
+    _row_blocked,
     METHODS,
     RAW_METHODS,
     SMOOTHED_METHODS,
@@ -306,3 +310,95 @@ def test_row_blocks_leave_edge_inputs_alone(method):
         else:
             np.testing.assert_array_equal(got, expected)
             assert got.shape == expected.shape
+
+
+def _on_a_thread(f, u):
+    """f(u) called on a new thread, where row blocks run inline."""
+    got = {}
+
+    def call():
+        try:
+            got["out"] = f(u)
+        except Exception as exc:  # handed to the caller below
+            got["out"] = exc
+
+    worker = threading.Thread(target=call)
+    worker.start()
+    worker.join()
+    if isinstance(got["out"], Exception):
+        raise got["out"]
+    return got["out"]
+
+
+def test_main_thread_blocks_run_on_the_pool_and_other_threads_inline():
+    seen = []
+
+    def probe(u):
+        seen.append(threading.current_thread())
+        return u[:, 0].copy()
+
+    h = _row_blocked(probe)
+    u = np.arange(2.0 * (3 * _ROW_BLOCK + 1)).reshape(-1, 2)
+    np.testing.assert_array_equal(h(u), u[:, 0])
+    assert len(seen) == 4 and threading.main_thread() not in seen
+    seen.clear()
+    np.testing.assert_array_equal(_on_a_thread(h, u), u[:, 0])
+    assert len(seen) == 4 and len(set(seen)) == 1 and threading.main_thread() not in seen
+    seen.clear()
+    h(u[:_ROW_BLOCK])  # one block runs on the caller
+    assert seen == [threading.main_thread()]
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("model", [BS, NIG, HES], ids=["bs16", "nig16", "hes16"])
+def test_pooled_row_blocks_give_the_inline_bits(model, method):
+    u = pseudo_uniform(3 * _ROW_BLOCK + 1, model.d, ScrambleSeed(53, 0)).values
+    for kind in ("binary-asian", "asian-delta", "barrier-down-out"):
+        h = method_integrand(method, PayoffSpec.for_model(kind, model, 100.0, 90.0), model)
+        np.testing.assert_array_equal(h(u), _on_a_thread(h, u))
+
+
+def test_pooled_row_blocked_analysis_integrand_gives_the_inline_bits():
+    h, dim = analysis_integrand("sQMC-II", BINARY, BS)
+    v = pseudo_uniform(3 * _ROW_BLOCK + 1, dim, ScrambleSeed(59, 0)).values
+    np.testing.assert_array_equal(h(v), _on_a_thread(h, v))
+
+
+def test_an_error_in_a_pooled_block_keeps_its_type():
+    h = method_integrand("sQMC-II", PayoffSpec.for_model("binary-asian", NIG, 100.0), NIG)
+    u = np.full((3 * _ROW_BLOCK + 1, NIG.d - 1), 0.5)
+    pooled, inline = _outcome(h, u), _outcome(lambda u: _on_a_thread(h, u), u)
+    assert pooled == inline and pooled[0] is ValueError
+
+
+_FORKED = method_integrand("sQMC-II", DELTA, BS)
+
+
+def _forked_values(u, conn):
+    conn.send(_FORKED(u))
+    conn.close()
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="no fork start method on this platform")
+@pytest.mark.filterwarnings("ignore:.*fork:DeprecationWarning")
+def test_a_forked_child_evaluates_pooled_blocks():
+    # the parent's pool threads do not exist in a forked child; a child
+    # that submitted to them would wait forever, so a timeout fails it
+    u = pseudo_uniform(_ROW_BLOCK + 3, BS.d, ScrambleSeed(61, 0)).values
+    expected = _FORKED(u)
+    ctx = multiprocessing.get_context("fork")
+    receive, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_forked_values, args=(u, send))
+    child.start()
+    send.close()
+    try:
+        assert receive.poll(60), "forked child returned no values within 60 s"
+        got = receive.recv()
+    finally:
+        child.join(5)
+        if child.is_alive():
+            child.kill()
+            child.join()
+    assert child.exitcode == 0
+    np.testing.assert_array_equal(got, expected)
