@@ -18,6 +18,7 @@ byte-stable under a fixed master seed.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import os
 import threading
 import time
@@ -96,30 +97,20 @@ def method_transform(method: str, payoff: PayoffSpec, model: ModelSpec) -> Ortho
 # most of the saving on 2^18-point effective-dimension calls.
 _ROW_BLOCK = 2 ** 13
 
-_row_pool: ThreadPoolExecutor | None = None
-
-
+@functools.cache
 def _row_blocks_pool() -> ThreadPoolExecutor:
     """The process-wide pool that runs the row blocks of a main-thread
     call, one worker per CPU the process may use, built on first use."""
-    global _row_pool
-    if _row_pool is None:
-        try:
-            workers = len(os.sched_getaffinity(0))
-        except AttributeError:  # no CPU affinity on this platform
-            workers = os.cpu_count() or 1
-        _row_pool = ThreadPoolExecutor(max_workers=workers, thread_name_prefix="smoothqmc-rows")
-    return _row_pool
-
-
-def _forget_row_pool() -> None:
-    # a forked child has none of the parent's threads, so it builds its own pool
-    global _row_pool
-    _row_pool = None
+    try:
+        workers = len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        workers = os.cpu_count() or 1
+    return ThreadPoolExecutor(max_workers=workers, thread_name_prefix="smoothqmc-rows")
 
 
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_row_pool)
+    # a forked child has none of the parent's threads, so it builds its own pool
+    os.register_at_fork(after_in_child=_row_blocks_pool.cache_clear)
 
 
 def _row_blocked(integrand: Callable[[np.ndarray], np.ndarray]
@@ -175,8 +166,8 @@ def method_integrand(method: str, payoff: PayoffSpec,
     of at most 2^13 rows into one new float64 array, so the memory a call
     takes does not grow with N; the values are those of the whole-batch
     call.  A call from the main thread spreads the blocks over the CPUs
-    the process may use.  The integrand keeps its batch-sized intermediate arrays, one
-    set per thread, from one call to the next.
+    the process may use.  The integrand keeps its batch-sized
+    intermediate arrays, one set per thread, from one call to the next.
     """
     return _row_blocked(_integrand(method, payoff, model))
 

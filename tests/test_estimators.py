@@ -2,6 +2,7 @@
 
 import multiprocessing
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -261,13 +262,21 @@ def _whole_batch(method, payoff, model):
     return lambda u: evaluate_smoothed(problem, u)
 
 
+def _on_a_thread(f, u):
+    """f(u) called on a thread other than the main one, where row blocks
+    run inline instead of on the process-wide pool."""
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        return pool.submit(f, u).result()
+
+
 def _assert_blocked_output(h, whole, u):
     before = u.copy()
-    out = h(u)
+    out = h(u)  # the main thread: blocks on the pool
     np.testing.assert_array_equal(u, before)
     assert out.dtype == np.float64 and out.shape == (len(u),)
     assert out.flags.c_contiguous and out.flags.owndata
     np.testing.assert_array_equal(out, whole(u))
+    np.testing.assert_array_equal(_on_a_thread(h, u), out)
 
 
 @pytest.mark.parametrize("n", [_ROW_BLOCK + 3, 3 * _ROW_BLOCK + 1])
@@ -312,24 +321,6 @@ def test_row_blocks_leave_edge_inputs_alone(method):
             assert got.shape == expected.shape
 
 
-def _on_a_thread(f, u):
-    """f(u) called on a new thread, where row blocks run inline."""
-    got = {}
-
-    def call():
-        try:
-            got["out"] = f(u)
-        except Exception as exc:  # handed to the caller below
-            got["out"] = exc
-
-    worker = threading.Thread(target=call)
-    worker.start()
-    worker.join()
-    if isinstance(got["out"], Exception):
-        raise got["out"]
-    return got["out"]
-
-
 def test_main_thread_blocks_run_on_the_pool_and_other_threads_inline():
     seen = []
 
@@ -347,21 +338,6 @@ def test_main_thread_blocks_run_on_the_pool_and_other_threads_inline():
     seen.clear()
     h(u[:_ROW_BLOCK])  # one block runs on the caller
     assert seen == [threading.main_thread()]
-
-
-@pytest.mark.parametrize("method", METHODS)
-@pytest.mark.parametrize("model", [BS, NIG, HES], ids=["bs16", "nig16", "hes16"])
-def test_pooled_row_blocks_give_the_inline_bits(model, method):
-    u = pseudo_uniform(3 * _ROW_BLOCK + 1, model.d, ScrambleSeed(53, 0)).values
-    for kind in ("binary-asian", "asian-delta", "barrier-down-out"):
-        h = method_integrand(method, PayoffSpec.for_model(kind, model, 100.0, 90.0), model)
-        np.testing.assert_array_equal(h(u), _on_a_thread(h, u))
-
-
-def test_pooled_row_blocked_analysis_integrand_gives_the_inline_bits():
-    h, dim = analysis_integrand("sQMC-II", BINARY, BS)
-    v = pseudo_uniform(3 * _ROW_BLOCK + 1, dim, ScrambleSeed(59, 0)).values
-    np.testing.assert_array_equal(h(v), _on_a_thread(h, v))
 
 
 def test_an_error_in_a_pooled_block_keeps_its_type():
