@@ -97,6 +97,7 @@ def method_transform(method: str, payoff: PayoffSpec, model: ModelSpec) -> Ortho
 # most of the saving on 2^18-point effective-dimension calls.
 _ROW_BLOCK = 2 ** 13
 
+
 @functools.cache
 def _row_blocks_pool() -> ThreadPoolExecutor:
     """The process-wide pool that runs the row blocks of a main-thread
