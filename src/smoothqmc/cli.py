@@ -310,7 +310,8 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--out", default=None, help="output CSV path (default stdout)")
         if name != "effdim":  # effdim has no replicate loop and no time column
             cmd.add_argument("--threads", type=int, default=1,
-                             help="worker threads for replicate loops")
+                             help="accepted and ignored: the replicate loop uses every "
+                                  "CPU the process may use (limit them with taskset)")
             cmd.add_argument("--timing", action="store_true",
                              help="record wall-clock times (breaks byte reproducibility)")
     return parser

@@ -11,20 +11,21 @@ and smoothing:
     sQMC-II  scrambled Sobol, push-out smoothing, pinned-QR rotation
 
 Each replicate refreshes the scramble (or the pseudo-random stream) from
-a counter-derived seed, so results are independent of thread count and
-byte-stable under a fixed master seed.
+a counter-derived seed, so results are independent of the CPUs that run
+them and byte-stable under a fixed master seed.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 from scipy import special
@@ -32,7 +33,7 @@ from scipy import special
 from .errors import NumericalError
 from .models import ModelSpec, _Scratch, path_map
 from .payoffs import PayoffSpec, build_separable, payoff_value
-from .points import ScrambleSeed, SobolSource, pseudo_uniform, scramble
+from .points import N_BITS, ScrambleSeed, SobolSource, pseudo_uniform, scramble
 from .smoothing import evaluate_smoothed
 from .transforms import (
     OrthogonalTransform,
@@ -100,8 +101,8 @@ _ROW_BLOCK = 2 ** 13
 
 @functools.cache
 def _row_blocks_pool() -> ThreadPoolExecutor:
-    """The process-wide pool that runs the row blocks of a main-thread
-    call, one worker per CPU the process may use, built on first use."""
+    """The process-wide pool that runs the jobs of a main-thread call, one
+    worker per CPU the process may use, built on first use."""
     try:
         workers = len(os.sched_getaffinity(0))
     except AttributeError:  # no CPU affinity on this platform
@@ -114,6 +115,15 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_row_blocks_pool.cache_clear)
 
 
+def _run_jobs(job: Callable, args: Iterable) -> None:
+    """job(arg) for every arg: on the process-wide pool when called from
+    the main thread, and inline from any other thread (a pool worker, or a
+    caller's own thread), so pools never nest.  Raises the error of the
+    first job, in the order of args, that raised one."""
+    on_main = threading.current_thread() is threading.main_thread()
+    list((_row_blocks_pool().map if on_main else map)(job, args))
+
+
 def _row_blocked(integrand: Callable[[np.ndarray], np.ndarray]
                  ) -> Callable[[np.ndarray], np.ndarray]:
     """integrand evaluated block by block into one new array when u is a
@@ -122,10 +132,8 @@ def _row_blocked(integrand: Callable[[np.ndarray], np.ndarray]
     The blocks split the rows evenly, so none is shorter than half of
     _ROW_BLOCK: OpenBLAS takes a product z @ U.T of one row or a few
     dozen rows through other kernels, which round differently, so a short
-    tail block would change the bits of the rotation.  Called on the main
-    thread, the blocks run on the process-wide pool; on any other thread
-    (a replicate of run, or a pool worker) they run inline, so pools never
-    nest.  Each block computes the same bits wherever it runs.
+    tail block would change the bits of the rotation.  The blocks run as
+    _run_jobs runs them, and each computes the same bits wherever it runs.
     """
     def blocked(u):
         if np.ndim(u) != 2 or len(u) <= _ROW_BLOCK:
@@ -136,9 +144,7 @@ def _row_blocked(integrand: Callable[[np.ndarray], np.ndarray]
             a, b = bounds
             out[a:b] = integrand(u[a:b])
 
-        on_main = threading.current_thread() is threading.main_thread()
-        # list() runs every block and re-raises the first error a block raised
-        list((_row_blocks_pool().map if on_main else map)(block, _even_bounds(len(u), _ROW_BLOCK)))
+        _run_jobs(block, _even_bounds(len(u), _ROW_BLOCK))
         return out
     return blocked
 
@@ -195,35 +201,36 @@ def run(method: str, payoff: PayoffSpec, model: ModelSpec, n: int, reps: int,
     """Average the method's integrand over reps independent replicates.
 
     Replicate k draws its points from the (seed, k) stream, so the result
-    is reproducible for fixed inputs and unchanged by threads.  With one
-    thread the replicates run on the calling thread, otherwise on a pool;
-    each thread draws every replicate into one point batch.  Timing
-    excludes one-time setup (weights, rotations, NIG inversion build).
-    Raises NumericalError if any replicate mean is not finite.
+    is reproducible for fixed inputs and unchanged by the CPUs that run
+    it.  Each (replicate, row block) pair is one job: it draws its rows of
+    the replicate's points and evaluates them, on the process-wide pool
+    from the main thread and inline from any other.  threads has no
+    effect (limit the CPUs with taskset).  Timing excludes one-time setup
+    (weights, rotations, NIG inversion build).  Raises NumericalError if
+    any replicate mean is not finite.
     """
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
+    if not 2 <= n <= 2 ** N_BITS:
+        raise ValueError(f"n must be >= 2 and <= 2^{N_BITS} (the Sobol' net), got {n}")
     if reps < 2:
         raise ValueError(f"reps must be >= 2 for a replicate variance, got {reps}")
     integrand = method_integrand(method, payoff, model)
     d = model.d
     scratch = _Scratch()
+    values = np.empty((reps, n))
 
-    def one(k: int) -> float:
+    def job(k_bounds):
+        k, (a, b) = k_bounds
         s = ScrambleSeed(seed, k)
-        u = scratch.array("points", (n, d))
+        u = scratch.array("points", (b - a, d))
         if method == "MC":
-            pts = pseudo_uniform(n, d, s, out=u)
+            pts = pseudo_uniform(b - a, d, s, out=u, start=a)
         else:
-            pts = scramble(SobolSource(n, d), s, out=u)
-        return float(integrand(pts.values).mean())
+            pts = scramble(SobolSource(b - a, d), s, out=u, start=a)
+        values[k, a:b] = integrand(pts.values)
 
     t0 = time.perf_counter()
-    if threads == 1:
-        means = np.fromiter(map(one, range(reps)), dtype=float, count=reps)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            means = np.fromiter(pool.map(one, range(reps)), dtype=float, count=reps)
+    _run_jobs(job, itertools.product(range(reps), _even_bounds(n, _ROW_BLOCK)))
+    means = np.array([row.mean() for row in values])
     wall = time.perf_counter() - t0
     if not np.all(np.isfinite(means)):
         raise NumericalError(f"{method} {payoff.kind}: non-finite replicate mean "
@@ -239,7 +246,8 @@ def vrf_table(payoffs: Sequence[PayoffSpec], model: ModelSpec, methods: Sequence
     """Run every (payoff, method) cell and attach variance-reduction
     factors relative to the MC baseline of the same payoff.  The vrf is
     None in every row when MC is not among the methods, and in a row
-    whose replicate variance is zero, as no finite factor exists."""
+    whose replicate variance is zero, as no finite factor exists.
+    threads has no effect, as in run."""
     rows: list[tuple[PayoffSpec, EstimatorReport]] = []
     for payoff in payoffs:
         reports = {meth: run(meth, payoff, model, n, reps, seed, threads) for meth in methods}

@@ -174,20 +174,29 @@ def _scramble_directions(directions: np.ndarray, rng: np.random.Generator) -> np
     return (digits * _DIGIT_WEIGHTS[None, :, None]).sum(axis=1, dtype=np.uint64).astype(np.uint32)
 
 
-def scramble(source: SobolSource, seed: ScrambleSeed, out: np.ndarray | None = None) -> PointSet:
+def _check_start(start: int) -> None:
+    if start < 0:
+        raise ValueError(f"start must be >= 0, got {start}")
+
+
+def scramble(source: SobolSource, seed: ScrambleSeed, out: np.ndarray | None = None,
+             start: int = 0) -> PointSet:
     """Scrambled Sobol' points: linear matrix scramble plus digital shift,
     written into out (n x d floats) when given and otherwise into a new array.
 
     The unit lower-triangular digit scramble keeps the digital-net
     structure; the shift makes every point uniform on (0, 1)^d.  Indices
-    0..n-1 are used (the shift moves the zero point off the origin), so a
-    scrambled set with n = 2^k retains exact dyadic equidistribution.
+    start..start+n-1 are used, so rows a..b of a scrambled set are the
+    set drawn from start a.  From start 0 (the shift moves the zero point
+    off the origin) a scrambled set with n = 2^k retains exact dyadic
+    equidistribution.
     """
+    _check_start(start)
     directions = _direction_integers(source.d)
     rng = np.random.default_rng([seed.seed, seed.replicate_index, 1])
     scrambled = _scramble_directions(directions, rng)
     shift = rng.integers(0, 2 ** N_BITS, size=source.d, dtype=np.uint32)
-    return PointSet(_digital_points(source.n, source.d, 0, scrambled, shift, out))
+    return PointSet(_digital_points(source.n, source.d, start, scrambled, shift, out))
 
 
 def scrambled_sobol(n: int, d: int, seed: ScrambleSeed) -> PointSet:
@@ -195,12 +204,17 @@ def scrambled_sobol(n: int, d: int, seed: ScrambleSeed) -> PointSet:
     return scramble(SobolSource(n, d), seed)
 
 
-def pseudo_uniform(n: int, d: int, seed: ScrambleSeed, out: np.ndarray | None = None) -> PointSet:
+def pseudo_uniform(n: int, d: int, seed: ScrambleSeed, out: np.ndarray | None = None,
+                   start: int = 0) -> PointSet:
     """I.i.d. uniforms from a reproducible counter-seeded generator, written
     into out (n x d floats, C-contiguous) when given and otherwise into a
-    new array."""
+    new array.  The rows are rows start..start+n-1 of the seed's stream:
+    PCG64 draws one 64-bit word per double, so advancing it by start * d
+    words skips the first start rows."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    _check_start(start)
     rng = np.random.default_rng([seed.seed, seed.replicate_index, 0])
+    rng.bit_generator.advance(start * d)
     u = rng.random((n, d), out=out)
     return PointSet(np.clip(u, EPS, 1.0 - EPS, out=u))

@@ -1,6 +1,7 @@
 """Replicated estimators and variance-reduction bookkeeping."""
 
 import multiprocessing
+import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -8,9 +9,11 @@ import numpy as np
 import pytest
 from scipy import special
 
+from smoothqmc import estimators
 from smoothqmc.estimators import (
     _ROW_BLOCK,
     _row_blocked,
+    _row_blocks_pool,
     METHODS,
     RAW_METHODS,
     SMOOTHED_METHODS,
@@ -73,22 +76,50 @@ def test_run_is_deterministic():
     assert c.estimate != a.estimate
 
 
-def test_run_is_thread_count_invariant():
-    a = run("QMC-I", BINARY, BS, n=256, reps=6, seed=7, threads=1)
-    b = run("QMC-I", BINARY, BS, n=256, reps=6, seed=7, threads=4)
-    assert a.estimate == b.estimate
-    assert a.replicate_variance == b.replicate_variance
+@pytest.fixture
+def on_every_cpu_set(monkeypatch):
+    """Calls f() with a process-wide pool of 1 worker and of 3, and once
+    from a thread other than the main one, where the jobs run inline, and
+    returns the three results."""
+    pools = []
+
+    def results(f):
+        out = []
+        for workers in (1, 3):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)),
+                                raising=False)
+            _row_blocks_pool.cache_clear()
+            pools.append(_row_blocks_pool())
+            assert pools[-1]._max_workers == workers
+            out.append(f())
+        out.append(_on_a_thread(lambda _: f(), None))
+        return out
+
+    yield results
+    _row_blocks_pool.cache_clear()  # the next caller builds the pool for the real CPU set
+    for pool in pools:
+        pool.shutdown()
+
+
+def _assert_cpu_set_invariant(results):
+    first = results[0]
+    for report in results[1:]:
+        assert report.estimate == first.estimate
+        assert report.replicate_variance == first.replicate_variance
+
+
+def test_run_is_thread_count_invariant(on_every_cpu_set):
+    _assert_cpu_set_invariant(on_every_cpu_set(
+        lambda: run("QMC-I", BINARY, BS, n=256, reps=6, seed=7)))
 
 
 @pytest.mark.parametrize("method", ["MC", "QMC-I"])
-def test_raw_nig_run_is_thread_count_invariant(method):
+def test_raw_nig_run_is_thread_count_invariant(method, on_every_cpu_set):
     # every replicate maps its own batch through the NIG law's normal map,
     # chunk by chunk, on whichever pool thread runs it
     payoff = PayoffSpec.for_model("asian-delta", NIG, 100.0)
-    a = run(method, payoff, NIG, n=1024, reps=6, seed=7, threads=1)
-    b = run(method, payoff, NIG, n=1024, reps=6, seed=7, threads=2)
-    assert a.estimate == b.estimate
-    assert a.replicate_variance == b.replicate_variance
+    _assert_cpu_set_invariant(on_every_cpu_set(
+        lambda: run(method, payoff, NIG, n=1024, reps=6, seed=7)))
 
 
 @pytest.mark.parametrize("model, payoff_kind", [
@@ -96,26 +127,43 @@ def test_raw_nig_run_is_thread_count_invariant(method):
     (HestonSpec(s0=100.0, v0=0.2, r=0.04, theta_bar=0.2, nu=1.0, sigma_v=0.2, rho=-0.5, m=16),
      "barrier-down-out"),
 ], ids=["nig16-binary", "hes16-neg-barrier"])
-def test_smoothed_run_is_thread_count_invariant(model, payoff_kind):
+def test_smoothed_run_is_thread_count_invariant(model, payoff_kind, on_every_cpu_set):
     # the conditional path is built per call, so replicates that share one
     # separable problem across threads cannot see each other's state
     payoff = PayoffSpec.for_model(payoff_kind, model, 100.0, 90.0)
-    a = run("sQMC-II", payoff, model, n=256, reps=6, seed=7, threads=1)
-    b = run("sQMC-II", payoff, model, n=256, reps=6, seed=7, threads=2)
-    assert a.estimate == b.estimate
-    assert a.replicate_variance == b.replicate_variance
+    _assert_cpu_set_invariant(on_every_cpu_set(
+        lambda: run("sQMC-II", payoff, model, n=256, reps=6, seed=7)))
 
 
 @pytest.mark.parametrize("method", METHODS)
 @pytest.mark.parametrize("model", [BS, NIG, HES], ids=["bs16", "nig16", "hes16"])
-def test_every_cell_is_thread_count_invariant_over_row_blocks(model, method):
-    # n = 12288 runs two row blocks of 6144, so each thread's arrays are
-    # reused across row blocks and replicates
+def test_every_cell_is_thread_count_invariant_over_row_blocks(model, method, on_every_cpu_set):
+    # n = 12288 runs two row blocks of 6144 per replicate, and n = 12289
+    # blocks of 6144 and 6145 rows, so each thread's arrays are reused
+    # across row blocks and replicates
     payoff = PayoffSpec.for_model("barrier-down-out", model, 100.0, 90.0)
-    a = run(method, payoff, model, n=12288, reps=4, seed=11, threads=1)
-    b = run(method, payoff, model, n=12288, reps=4, seed=11, threads=2)
-    assert a.estimate == b.estimate
-    assert a.replicate_variance == b.replicate_variance
+    for n in (12288, 12289):
+        _assert_cpu_set_invariant(on_every_cpu_set(
+            lambda: run(method, payoff, model, n=n, reps=4, seed=11)))
+
+
+def test_run_spreads_its_jobs_over_the_pool_from_the_main_thread(monkeypatch):
+    seen = []
+
+    def probe(method, payoff, model):
+        def integrand(u):
+            seen.append((threading.current_thread(), len(u)))
+            return u[:, 0].copy()
+        return integrand
+
+    monkeypatch.setattr(estimators, "method_integrand", probe)
+    run("QMC-I", BINARY, BS, n=3 * _ROW_BLOCK + 1, reps=2, seed=3)
+    assert sorted(rows for _, rows in seen) == [6144] * 6 + [6145] * 2  # 4 blocks per replicate
+    assert threading.main_thread() not in {thread for thread, _ in seen}
+    seen.clear()
+    _on_a_thread(lambda _: run("MC", BINARY, BS, n=64, reps=3, seed=3), None)
+    assert [rows for _, rows in seen] == [64] * 3
+    assert len({thread for thread, _ in seen}) == 1 and threading.main_thread() not in seen[0]
 
 
 def test_single_step_pinned_rotation_is_the_identity():
@@ -207,6 +255,10 @@ def test_run_validation():
         run("MC", BINARY, BS, n=1, reps=4, seed=5)
     with pytest.raises(ValueError):
         run("MC", BINARY, BS, n=128, reps=1, seed=5)
+    # more points than the Sobol' net holds fail before reps * n values are allocated
+    for method in ("MC", "QMC-I"):
+        with pytest.raises(ValueError, match="Sobol"):
+            run(method, BINARY, BS, n=2 ** 32 + 1, reps=2 ** 40, seed=5)
 
 
 def test_timing_is_positive_and_excludes_setup():
@@ -350,22 +402,18 @@ def test_an_error_in_a_pooled_block_keeps_its_type():
 _FORKED = method_integrand("sQMC-II", DELTA, BS)
 
 
-def _forked_values(u, conn):
-    conn.send(_FORKED(u))
+def _send_from_child(conn, f, *args):
+    conn.send(f(*args))
     conn.close()
 
 
-@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
-                    reason="no fork start method on this platform")
-@pytest.mark.filterwarnings("ignore:.*fork:DeprecationWarning")
-def test_a_forked_child_evaluates_pooled_blocks():
-    # the parent's pool threads do not exist in a forked child; a child
-    # that submitted to them would wait forever, so a timeout fails it
-    u = pseudo_uniform(_ROW_BLOCK + 3, BS.d, ScrambleSeed(61, 0)).values
-    expected = _FORKED(u)
+def _in_a_forked_child(f, *args):
+    """f(*args) computed in a forked child.  The parent's pool threads do
+    not exist there; a child that submitted to them would wait forever,
+    so a timeout fails it."""
     ctx = multiprocessing.get_context("fork")
     receive, send = ctx.Pipe(duplex=False)
-    child = ctx.Process(target=_forked_values, args=(u, send))
+    child = ctx.Process(target=_send_from_child, args=(send, f, *args))
     child.start()
     send.close()
     try:
@@ -377,4 +425,30 @@ def test_a_forked_child_evaluates_pooled_blocks():
             child.kill()
             child.join()
     assert child.exitcode == 0
-    np.testing.assert_array_equal(got, expected)
+    return got
+
+
+def _needs_fork(test):
+    test = pytest.mark.filterwarnings("ignore:.*fork:DeprecationWarning")(test)
+    return pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                              reason="no fork start method on this platform")(test)
+
+
+@_needs_fork
+def test_a_forked_child_evaluates_pooled_blocks():
+    u = pseudo_uniform(_ROW_BLOCK + 3, BS.d, ScrambleSeed(61, 0)).values
+    expected = _FORKED(u)
+    np.testing.assert_array_equal(_in_a_forked_child(_FORKED, u), expected)
+
+
+def _report_values(*args):
+    report = run(*args)
+    return report.estimate, report.replicate_variance
+
+
+@_needs_fork
+def test_a_forked_child_runs_pooled_replicates():
+    # after a main-thread run has built the parent's pool
+    args = ("QMC-II", BARRIER, BS, 2 * _ROW_BLOCK + 1, 4, 17)
+    expected = _report_values(*args)
+    assert _in_a_forked_child(_report_values, *args) == expected

@@ -125,6 +125,28 @@ def test_digital_points_stay_inside_the_32_bit_net():
             _digital_points(n, 2, start, directions)
 
 
+@pytest.mark.parametrize("d", [1, 16, 32])
+def test_row_ranges_are_the_rows_of_the_whole_set(d):
+    seed = ScrambleSeed(12345, 3)
+    sobol = scramble(SobolSource(12289, d), seed).values
+    pseudo = pseudo_uniform(12289, d, seed).values
+    for a, b in ((0, 6144), (6144, 12289), (1000, 3001)):
+        np.testing.assert_array_equal(scramble(SobolSource(b - a, d), seed, start=a).values,
+                                      sobol[a:b])
+        np.testing.assert_array_equal(pseudo_uniform(b - a, d, seed, start=a).values, pseudo[a:b])
+
+
+def test_row_range_validation():
+    seed = ScrambleSeed(1, 0)
+    assert scramble(SobolSource(1, 2), seed, start=2 ** 32 - 1).values.shape == (1, 2)
+    with pytest.raises(ValueError, match="32-bit net"):
+        scramble(SobolSource(2, 2), seed, start=2 ** 32 - 1)
+    with pytest.raises(ValueError, match="start"):
+        scramble(SobolSource(2, 2), seed, start=-1)
+    with pytest.raises(ValueError, match="start"):
+        pseudo_uniform(2, 2, seed, start=-1)
+
+
 @pytest.mark.parametrize("make, digest", [
     (lambda: scrambled_sobol(4096, 16, ScrambleSeed(12345, 0)), "38beb098926bfc40c184b49380fb588a"),
     (lambda: scrambled_sobol(1000, 33, ScrambleSeed(7, 3)), "6c349aa8242203580645648624407868"),
