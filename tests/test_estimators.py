@@ -163,7 +163,7 @@ def test_run_spreads_its_jobs_over_the_pool_from_the_main_thread(monkeypatch):
     seen.clear()
     _on_a_thread(lambda _: run("MC", BINARY, BS, n=64, reps=3, seed=3), None)
     assert [rows for _, rows in seen] == [64] * 3
-    assert len({thread for thread, _ in seen}) == 1 and threading.main_thread() not in seen[0]
+    assert len({thread for thread, _ in seen}) == 1 and seen[0][0] is not threading.main_thread()
 
 
 def test_single_step_pinned_rotation_is_the_identity():
