@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import NumericalError
-from .points import ScrambleSeed, scrambled_sobol
+from .points import N_BITS, ScrambleSeed, SobolSource, scramble
 
 __all__ = [
     "DimensionReport",
@@ -52,8 +52,9 @@ def _dot(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.einsum("i,i", x, y))
 
 
-def _cov(x: np.ndarray, y: np.ndarray) -> float:
-    return _dot(x - x.mean(), y - y.mean()) / (x.size - 1)
+def _cov(centered: np.ndarray, y: np.ndarray) -> float:
+    """Covariance of x and y, given x - mean(x)."""
+    return _dot(centered, y - y.mean()) / (y.size - 1)
 
 
 @dataclass(frozen=True)
@@ -79,31 +80,48 @@ class DimensionReport:
 def dimension_report(integrand: Integrand, d: int, n: int, seed: int,
                      p: float = 0.99) -> DimensionReport:
     """One-pass report sharing a single (a, b) block pair across the
-    truncation scan, first-order indices, and Jansen total indices.  Each
-    hybrid is b with some columns from a, alive only during its own call;
-    the last two share their d hybrids, so a report makes 2d + 1 calls."""
+    truncation scan, first-order indices, and Jansen total indices; the
+    last two share their d hybrids, so a report makes 2d + 1 calls.
+
+    a and b are the column halves of one column-major (n, 2d) array, and
+    every hybrid (b with some columns from a) is formed in one kept
+    column-major buffer by copying single columns between calls.  So the
+    integrand must not keep a reference to its argument after it returns;
+    a returned view of it is read before the buffer next changes.  Peak
+    memory is 2nd + nd floats plus the integrand's own row blocks.
+    """
     if not 0.0 < p <= 1.0:
         raise ValueError(f"p must be in (0, 1], got {p}")
-    a, b = np.hsplit(scrambled_sobol(n, 2 * d, ScrambleSeed(seed)).values, 2)
+    if not 2 <= n <= 2 ** N_BITS:
+        raise ValueError(f"n must be >= 2 and <= 2^{N_BITS} (the Sobol' net), got {n}")
+    source = SobolSource(n, 2 * d)  # checks d against the table before allocating
+    points = scramble(source, ScrambleSeed(seed), out=np.empty((n, 2 * d), order="F")).values
+    a, b = points[:, :d], points[:, d:]
 
-    def h_hybrid(cols) -> np.ndarray:
-        hybrid = b.copy()
-        hybrid[:, cols] = a[:, cols]
-        return np.asarray(integrand(hybrid), dtype=float)
+    def h(u) -> np.ndarray:
+        return np.asarray(integrand(u), dtype=float)
 
-    ha = np.asarray(integrand(a), dtype=float)
+    ha = h(a)
     var = _variance(ha)
-    trunc = [_cov(ha, h_hybrid(slice(0, ell))) / var for ell in range(1, d)]
-    trunc.append(_cov(ha, ha) / var)  # at l = d the hybrid is a itself
+    ca = ha - ha.mean()
+    hybrid = b.copy(order="F")
+    trunc = []
+    for ell in range(1, d):
+        hybrid[:, ell - 1] = a[:, ell - 1]
+        trunc.append(_cov(ca, h(hybrid)) / var)
+    trunc.append(_cov(ca, ha) / var)  # at l = d the hybrid is a itself
     trunc_dim = next((ell for ell, r in enumerate(trunc, start=1) if r >= p), d)
+    hybrid[:, :d - 1] = b[:, :d - 1]
 
-    hb = np.asarray(integrand(b), dtype=float)
+    hb = h(b)
     first_order = jansen = 0.0
     for j in range(d):
-        hj = h_hybrid(j)
-        first_order += _cov(ha, hj) / var
+        hybrid[:, j] = a[:, j]
+        hj = h(hybrid)
+        first_order += _cov(ca, hj) / var
         diff = hb - hj
         jansen += _dot(diff, diff) / (2.0 * hb.size)
+        hybrid[:, j] = b[:, j]
 
     d_ms = jansen / var
     if not np.all(np.isfinite([*trunc, first_order, d_ms])):

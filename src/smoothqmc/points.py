@@ -182,7 +182,8 @@ def _check_start(start: int) -> None:
 def scramble(source: SobolSource, seed: ScrambleSeed, out: np.ndarray | None = None,
              start: int = 0) -> PointSet:
     """Scrambled Sobol' points: linear matrix scramble plus digital shift,
-    written into out (n x d floats) when given and otherwise into a new array.
+    written into out (n x d float64, in any memory layout) when given and
+    otherwise into a new C-ordered array.
 
     The unit lower-triangular digit scramble keeps the digital-net
     structure; the shift makes every point uniform on (0, 1)^d.  Indices

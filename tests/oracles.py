@@ -7,10 +7,15 @@ form.  Both are exact for this integrand, so agreement to rounding
 validates either route.  The NIG moment generating function, the
 reference that the closed-form Esscher parameter is checked against.  And
 a bit-by-bit Gray-code evaluation of digital-net points, the reference
-for the recurrence in points._digital_points.
+for the recurrence in points._digital_points.  And pick-freeze with a new
+array for every hybrid, the reference for the kept hybrid buffer of
+effdim.dimension_report.
 """
 
 import numpy as np
+
+from smoothqmc.effdim import DimensionReport
+from smoothqmc.points import ScrambleSeed, scrambled_sobol
 
 
 def nig_mgf(u, alpha, beta, mu, delta):
@@ -113,3 +118,33 @@ def g_quadrature(a):
         cond_not_j = integrate(grid, [j])
         tau_sum += var - variance_of(cond_not_j)
     return var, np.array(trunc), first, tau_sum / var
+
+
+def pick_freeze_reference(integrand, d, n, seed, p=0.99):
+    """dimension_report's statistics, with every hybrid a new array
+    np.where(mask, a, b) that the integrand may keep: the same 2d + 1
+    calls in the same order, and the same arithmetic."""
+    a, b = np.hsplit(scrambled_sobol(n, 2 * d, ScrambleSeed(seed)).values, 2)
+    cols = np.arange(d)
+
+    def h(mask):
+        return np.asarray(integrand(np.where(mask, a, b)), dtype=float)
+
+    def dot(x, y):
+        return float(np.einsum("i,i", x, y))
+
+    def cov(x, y):
+        return dot(x - x.mean(), y - y.mean()) / (x.size - 1)
+
+    ha = h(cols < d)
+    var = float(np.var(ha, ddof=1))
+    trunc = [cov(ha, h(cols < ell)) / var for ell in range(1, d)] + [cov(ha, ha) / var]
+    d_t = next((ell for ell, r in enumerate(trunc, start=1) if r >= p), d)
+    hb = h(cols < 0)
+    first_order = jansen = 0.0
+    for j in range(d):
+        hj = h(cols == j)
+        first_order += cov(ha, hj) / var
+        jansen += dot(hb - hj, hb - hj) / (2.0 * n)
+    return DimensionReport(d=d, truncation=tuple(trunc), r_order1=first_order,
+                           d_ms=jansen / var, d_t=d_t, total_variance=var)

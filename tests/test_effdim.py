@@ -7,9 +7,12 @@ import pytest
 
 from smoothqmc.effdim import DimensionReport, dimension_report
 from smoothqmc.errors import NumericalError
-from smoothqmc.points import ScrambleSeed, scrambled_sobol
+from smoothqmc.estimators import _ROW_BLOCK, analysis_integrand
+from smoothqmc.models import BlackScholesSpec
+from smoothqmc.payoffs import PayoffSpec
+from smoothqmc.points import N_BITS, ScrambleSeed, scrambled_sobol
 
-from oracles import g_anova, g_function, g_quadrature
+from oracles import g_anova, g_function, g_quadrature, pick_freeze_reference
 
 N = 2 ** 13
 
@@ -147,6 +150,24 @@ def test_one_hybrid_alive_at_a_time():
     assert peak - base[0] < 1.75 * n * d * 8
 
 
+def _asian_delta_bs4():
+    model = BlackScholesSpec(s0=100.0, r=0.04, sigma=0.3, T=1.0, m=4)
+    return analysis_integrand("sQMC-II", PayoffSpec.for_model("asian-delta", model, 100.0),
+                              model)
+
+
+@pytest.mark.parametrize("make,n", [
+    (lambda: (g_function(np.array([0.0, 0.5, 3.0, 9.0])), 4), 2 ** 12),
+    # a view of the argument: each value must be read before the buffer changes
+    (lambda: (lambda u: u[:, -1], 3), 2 ** 10),
+    (_asian_delta_bs4, _ROW_BLOCK + 3),  # two row blocks
+], ids=["g-function", "view", "bs4-sqmc2-asian-delta"])
+def test_kept_hybrid_buffer_matches_a_copy_per_hybrid(make, n):
+    integrand, d = make()
+    report = dimension_report(integrand, d, n, seed=15)
+    assert report == pick_freeze_reference(integrand, d, n, seed=15)
+
+
 def test_truncation_ratios_increase():
     h = g_function(np.array([0.0, 0.5, 3.0, 9.0]))
     report = dimension_report(h, 4, 2 ** 14, seed=8)
@@ -173,6 +194,22 @@ def test_degenerate_and_invalid_inputs():
         dimension_report(h, 3, 256, seed=10, p=1.5)
     with pytest.raises(ValueError):
         dimension_report(h, 3, 256, seed=10, p=0.0)
+
+
+@pytest.mark.parametrize("n", [1, 2 ** N_BITS + 1])
+def test_sample_size_is_checked_before_any_allocation(n):
+    # n = 1 used to reach np.var's "Degrees of freedom <= 0" warning (an
+    # error under the suite's error::RuntimeWarning filter), and
+    # n = 2^32 + 1 would request the 2d-column point array first
+    h = lambda u: np.atleast_2d(u)[:, 0]
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="n must be >= 2"):
+            dimension_report(h, 3, n, seed=10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 16
 
 
 def test_report_deterministic_in_seed():

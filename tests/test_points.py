@@ -133,6 +133,10 @@ def test_row_ranges_are_the_rows_of_the_whole_set(d):
     for a, b in ((0, 6144), (6144, 12289), (1000, 3001)):
         np.testing.assert_array_equal(scramble(SobolSource(b - a, d), seed, start=a).values,
                                       sobol[a:b])
+        # a column-major out takes the same values
+        out = np.empty((b - a, d), order="F")
+        assert scramble(SobolSource(b - a, d), seed, out=out, start=a).values is out
+        np.testing.assert_array_equal(out, sobol[a:b])
         np.testing.assert_array_equal(pseudo_uniform(b - a, d, seed, start=a).values, pseudo[a:b])
 
 
