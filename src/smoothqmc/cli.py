@@ -33,7 +33,7 @@ import yaml
 
 from .effdim import dimension_report
 from .errors import ConfigError, NumericalError
-from .estimators import METHODS, SMOOTHED_METHODS, analysis_integrand, run, vrf_table
+from .estimators import METHODS, SMOOTHED_METHODS, analysis_integrand, sweep, vrf_table
 from .models import BlackScholesSpec, HestonSpec, NigSpec, _finite_real
 from .payoffs import PAYOFF_KINDS, PayoffSpec
 from .points import N_BITS
@@ -197,12 +197,11 @@ def _cells(cfg: ExperimentConfig):
             yield f"{payoff.kind}|{case}", model, payoff
 
 
-def _priced(cfg: ExperimentConfig, args):
+def _priced(cfg: ExperimentConfig):
     """Yield (case, model, report) for every (cell, method); the reports
     carry a vrf when MC is among the methods."""
     for case, model, payoff in _cells(cfg):
-        for _, rep in vrf_table([payoff], model, cfg.methods, cfg.n, cfg.reps, cfg.seed,
-                                threads=args.threads):
+        for _, rep in vrf_table([payoff], model, cfg.methods, cfg.n, cfg.reps, cfg.seed):
             yield case, model, rep
 
 
@@ -234,14 +233,14 @@ def _cmd_price(cfg: ExperimentConfig, args) -> list[list[str]]:
     return [[case, rep.method, _fmt(rep.estimate), _fmt(rep.replicate_variance),
              _fmt(rep.vrf), _time_ms(rep.wall_time, args.timing),
              str(rep.n), str(rep.reps), str(cfg.seed)]
-            for case, _, rep in _priced(cfg, args)]
+            for case, _, rep in _priced(cfg)]
 
 
 def _cmd_vrf(cfg: ExperimentConfig, args) -> list[list[str]]:
     _require("MC" in cfg.methods, "vrf needs the MC baseline in methods")
     return [[case, str(model.d), rep.method, _fmt(rep.estimate),
              _fmt(rep.vrf), _time_ms(rep.wall_time, args.timing)]
-            for case, model, rep in _priced(cfg, args)]
+            for case, model, rep in _priced(cfg)]
 
 
 def _pct(x: float) -> str:
@@ -272,15 +271,10 @@ def _cmd_effdim(cfg: ExperimentConfig, args) -> list[list[str]]:
 
 
 def _cmd_sweep(cfg: ExperimentConfig, args) -> list[list[str]]:
-    rows = []
-    for case, model, payoff in _cells(cfg):
-        for meth in cfg.methods:
-            for n in cfg.sweep_n:
-                rep = run(meth, payoff, model, n, cfg.reps, cfg.seed,
-                          threads=args.threads)
-                rows.append([case, meth, str(n), _fmt(rep.replicate_variance),
-                             _time_ms(rep.wall_time, args.timing)])
-    return rows
+    return [[case, meth, str(rep.n), _fmt(rep.replicate_variance),
+             _time_ms(rep.wall_time, args.timing)]
+            for case, model, payoff in _cells(cfg) for meth in cfg.methods
+            for rep in sweep(meth, payoff, model, cfg.sweep_n, cfg.reps, cfg.seed)]
 
 
 # name -> (command, help text, CSV header)

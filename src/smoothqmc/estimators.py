@@ -54,6 +54,7 @@ __all__ = [
     "method_integrand",
     "analysis_integrand",
     "run",
+    "sweep",
     "vrf_table",
 ]
 
@@ -196,27 +197,29 @@ def analysis_integrand(method: str, payoff: PayoffSpec,
     return _row_blocked(integrand), d
 
 
-def run(method: str, payoff: PayoffSpec, model: ModelSpec, n: int, reps: int,
-        seed: int, threads: int = 1) -> EstimatorReport:
-    """Average the method's integrand over reps independent replicates.
+def sweep(method: str, payoff: PayoffSpec, model: ModelSpec, ns: Sequence[int], reps: int,
+          seed: int) -> list[EstimatorReport]:
+    """One report per sample size in ns, from one evaluation of every
+    replicate at max(ns): the n-point set of replicate k is the first n
+    rows of its largest set, so each n averages a prefix of its values.
 
     Replicate k draws its points from the (seed, k) stream, so the result
     is reproducible for fixed inputs and unchanged by the CPUs that run
     it.  Each (replicate, row block) pair is one job: it draws its rows of
     the replicate's points and evaluates them, on the process-wide pool
-    from the main thread and inline from any other.  threads has no
-    effect (limit the CPUs with taskset).  Timing excludes one-time setup
-    (weights, rotations, NIG inversion build).  Raises NumericalError if
-    any replicate mean is not finite.
+    from the main thread and inline from any other.  Every report's
+    wall_time is the seconds of the one shared evaluation, excluding
+    one-time setup (weights, rotations, NIG inversion build).  Raises
+    NumericalError if any replicate mean is not finite.
     """
-    if not 2 <= n <= 2 ** N_BITS:
-        raise ValueError(f"n must be >= 2 and <= 2^{N_BITS} (the Sobol' net), got {n}")
+    if not ns or not all(2 <= n <= 2 ** N_BITS for n in ns):
+        raise ValueError(f"every n must be >= 2 and <= 2^{N_BITS} (the Sobol' net), got {list(ns)}")
     if reps < 2:
         raise ValueError(f"reps must be >= 2 for a replicate variance, got {reps}")
     integrand = method_integrand(method, payoff, model)
     d = model.d
     scratch = _Scratch()
-    values = np.empty((reps, n))
+    values = np.empty((reps, max(ns)))
 
     def job(k_bounds):
         k, (a, b) = k_bounds
@@ -229,15 +232,24 @@ def run(method: str, payoff: PayoffSpec, model: ModelSpec, n: int, reps: int,
         values[k, a:b] = integrand(pts.values)
 
     t0 = time.perf_counter()
-    _run_jobs(job, itertools.product(range(reps), _even_bounds(n, _ROW_BLOCK)))
-    means = np.array([row.mean() for row in values])
+    _run_jobs(job, itertools.product(range(reps), _even_bounds(max(ns), _ROW_BLOCK)))
+    all_means = [np.array([row[:n].mean() for row in values]) for n in ns]
     wall = time.perf_counter() - t0
-    if not np.all(np.isfinite(means)):
-        raise NumericalError(f"{method} {payoff.kind}: non-finite replicate mean "
-                             f"({int(np.count_nonzero(~np.isfinite(means)))} of {reps})")
-    return EstimatorReport(method=method, estimate=float(means.mean()),
-                           replicate_variance=float(means.var(ddof=1)),
-                           vrf=None, wall_time=wall, n=n, reps=reps)
+    for means in all_means:
+        if not np.all(np.isfinite(means)):
+            raise NumericalError(f"{method} {payoff.kind}: non-finite replicate mean "
+                                 f"({int(np.count_nonzero(~np.isfinite(means)))} of {reps})")
+    return [EstimatorReport(method=method, estimate=float(means.mean()),
+                            replicate_variance=float(means.var(ddof=1)),
+                            vrf=None, wall_time=wall, n=n, reps=reps)
+            for n, means in zip(ns, all_means)]
+
+
+def run(method: str, payoff: PayoffSpec, model: ModelSpec, n: int, reps: int,
+        seed: int) -> EstimatorReport:
+    """Average the method's integrand over reps independent replicates of
+    n points: sweep at the one sample size n."""
+    return sweep(method, payoff, model, (n,), reps, seed)[0]
 
 
 def vrf_table(payoffs: Sequence[PayoffSpec], model: ModelSpec, methods: Sequence[str],
@@ -247,10 +259,12 @@ def vrf_table(payoffs: Sequence[PayoffSpec], model: ModelSpec, methods: Sequence
     factors relative to the MC baseline of the same payoff.  The vrf is
     None in every row when MC is not among the methods, and in a row
     whose replicate variance is zero, as no finite factor exists.
-    threads has no effect, as in run."""
+    threads is accepted and ignored, since perfbench/workloads.py passes
+    it as the seventh positional argument (ROADMAP item 1).  Each cell is
+    one call of the module global run, which perfbench patches to time it."""
     rows: list[tuple[PayoffSpec, EstimatorReport]] = []
     for payoff in payoffs:
-        reports = {meth: run(meth, payoff, model, n, reps, seed, threads) for meth in methods}
+        reports = {meth: run(meth, payoff, model, n, reps, seed) for meth in methods}
         base = reports["MC"].replicate_variance if "MC" in reports else None
         for meth in methods:
             var = reports[meth].replicate_variance

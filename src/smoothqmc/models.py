@@ -460,15 +460,13 @@ def paths_heston(spec: HestonSpec, z: np.ndarray, transform: OrthogonalTransform
         raise ValueError(f"Heston needs 2m = {spec.d} coordinates, got {z.shape[1]}")
     n = z.shape[0]
     # a copy with one row per coordinate, so each step reads contiguous
-    # memory; a rotation goes into it one slice at a time through a small buffer
-    if transform.kind == "identity":
-        y = np.array(z.T, order="C")
-    else:
-        slices = _rotation_slices(n, spec.d)
-        y = np.empty((spec.d, n))
-        buf = np.empty((max(b - a for a, b in slices), spec.d))
-        for a, b in slices:
-            y[:, a:b] = apply_transform(transform, z[a:b], out=buf[:b - a]).T
+    # memory; the transform goes into it one slice at a time through a
+    # small buffer (the identity leaves the buffer alone and returns the slice)
+    slices = _rotation_slices(n, spec.d)
+    y = np.empty((spec.d, n))
+    buf = np.empty((max(b - a for a, b in slices), spec.d))
+    for a, b in slices:
+        y[:, a:b] = apply_transform(transform, z[a:b], out=buf[:b - a]).T
     z_asset, z_var = y[0::2], y[1::2]
     dt = spec.dt
     # the asset shock rho_hat z_asset + rho z_var of every step; step i

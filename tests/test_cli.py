@@ -423,6 +423,14 @@ sweep: {n: [16, 32]}
         assert float(row[3]) >= 0.0
 
 
+def test_sweep_at_one_n_prints_the_variance_of_price(tmp_path, capsys):
+    path = _write(tmp_path, FAST_BS + "sweep: {n: [64]}\n")
+    _, swept, _ = _run(capsys, ["sweep", "--config", path])
+    _, priced, _ = _run(capsys, ["price", "--config", path])
+    assert [(r[0], r[1], r[2], r[3]) for r in _rows(swept)[1:]] == \
+        [(r[0], r[1], r[6], r[3]) for r in _rows(priced)[1:]]
+
+
 # ---------------------------------------------------------------------------
 # top-level argument handling
 

@@ -21,6 +21,7 @@ from smoothqmc.estimators import (
     method_integrand,
     method_transform,
     run,
+    sweep,
     vrf_table,
     weight_matrix,
 )
@@ -259,6 +260,51 @@ def test_run_validation():
     for method in ("MC", "QMC-I"):
         with pytest.raises(ValueError, match="Sobol"):
             run(method, BINARY, BS, n=2 ** 32 + 1, reps=2 ** 40, seed=5)
+
+
+@pytest.mark.parametrize("method", ["MC", "QMC-II", "sQMC-II"])
+@pytest.mark.parametrize("model", [BS, NIG, HES], ids=["bs16", "nig16", "hes16"])
+def test_sweep_equals_run_at_every_n(model, method):
+    # the 2^14 prefix of a 2^15-point set of four row blocks spans two of them
+    payoff = PayoffSpec.for_model("barrier-down-out", model, 100.0, 90.0)
+    ns = (64, 1024, 2 ** 14, 2 ** 15)
+    reports = sweep(method, payoff, model, ns, reps=3, seed=13)
+    assert [rep.n for rep in reports] == list(ns)
+    assert len({rep.wall_time for rep in reports}) == 1
+    for n, rep in zip(ns, reports):
+        alone = run(method, payoff, model, n, reps=3, seed=13)
+        assert (rep.estimate, rep.replicate_variance) == (alone.estimate, alone.replicate_variance)
+
+
+@pytest.mark.parametrize("method", ["QMC-II", "sQMC-II"])
+def test_sweep_of_a_few_rotated_rows_equals_run_to_rounding(method):
+    # BLAS takes a product of a few dozen rows through other kernels, so a
+    # short prefix of a larger rotated batch may differ from it in the last bits
+    payoff = PayoffSpec.for_model("barrier-down-out", HES, 100.0, 90.0)
+    for n, rep in zip((16, 32), sweep(method, payoff, HES, (16, 32, 1024), reps=3, seed=13)):
+        alone = run(method, payoff, HES, n, reps=3, seed=13)
+        assert rep.estimate == pytest.approx(alone.estimate, rel=1e-12, abs=0.0)
+        assert rep.replicate_variance == pytest.approx(alone.replicate_variance, rel=1e-12, abs=0.0)
+
+
+def test_sweep_validation():
+    # a bad n fails before reps * max(ns) values are allocated
+    for ns in ((64, 1), (64, 2 ** 32 + 1), ()):
+        with pytest.raises(ValueError, match="Sobol"):
+            sweep("MC", BINARY, BS, ns, reps=2 ** 40, seed=5)
+    with pytest.raises(ValueError, match="reps"):
+        sweep("MC", BINARY, BS, (64,), reps=1, seed=5)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_sweep_raises_the_numerical_error_of_run():
+    extreme = BlackScholesSpec(s0=100.0, r=40.0, sigma=0.3, T=20.0, m=16)
+    payoff = PayoffSpec.for_model("asian-delta", extreme, 100.0)
+    with pytest.raises(NumericalError) as swept:
+        sweep("MC", payoff, extreme, (32, 64), reps=3, seed=1)
+    with pytest.raises(NumericalError) as alone:
+        run("MC", payoff, extreme, n=32, reps=3, seed=1)
+    assert str(swept.value) == str(alone.value)
 
 
 def test_timing_is_positive_and_excludes_setup():

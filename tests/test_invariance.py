@@ -24,9 +24,11 @@ from smoothqmc.cli import main
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 SRC = pathlib.Path(smoothqmc.__file__).parents[1]
 KINDS = ("black-scholes", "nig", "heston")
-# effdim's hybrids at n 16384 take two row blocks per integrand call
+# effdim's hybrids at n 16384 take two row blocks per integrand call, and
+# the sweep reads n 1024 as a prefix of the n 16384 evaluation
 CASES = ([("price", f"{kind}-m16", "") for kind in KINDS]
-         + [("effdim", "black-scholes-m16", "effdim: {n: 16384}\n")])
+         + [("effdim", "black-scholes-m16", "effdim: {n: 16384}\n"),
+            ("sweep", "heston-m16", "sweep: {n: [1024, 16384]}\n")])
 
 
 def _child_argv(argv, one_cpu):
