@@ -22,6 +22,7 @@ from .estimators import (
     method_integrand,
     method_transform,
     run,
+    sweep,
     vrf_table,
     weight_matrix,
 )

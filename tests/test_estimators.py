@@ -287,6 +287,12 @@ def test_sweep_of_a_few_rotated_rows_equals_run_to_rounding(method):
         assert rep.replicate_variance == pytest.approx(alone.replicate_variance, rel=1e-12, abs=0.0)
 
 
+def test_sweep_is_exported_with_run():
+    import smoothqmc
+
+    assert (smoothqmc.run, smoothqmc.sweep) == (run, sweep)
+
+
 def test_sweep_validation():
     # a bad n fails before reps * max(ns) values are allocated
     for ns in ((64, 1), (64, 2 ** 32 + 1), ()):
