@@ -234,43 +234,72 @@ _NEWTON_STEPS = 2
 # mass outside the grid (measured for delta from 2e-4 to 0.25 and
 # alpha - |beta| from 0.5 to 75), well inside the 1e-6 mass check.
 _TAIL_DECAYS = 20.0
-# G is evaluated over flat chunks of this many values, so that its
-# temporaries stay small: 2^18 values in one chunk took twice as long and
-# raised the peak RSS of a NIG16 benchmark block by 12-30 MB.
-_NORMAL_CHUNK = 2 ** 12
+# G is evaluated over flat chunks of this many values: few enough numpy
+# calls (about 15 a chunk) that two pool workers run it side by side, and
+# temporaries small enough to stay cheap.  On a 2-vCPU Xeon, 2 x 20 calls
+# on 8192 x 16 values took 0.104 s serially and 0.202 s on two threads in
+# 2^12-value chunks, 0.088 and 0.072 s in 2^14, 0.084 and 0.066 s in
+# 2^15, 0.125 and 0.086 s in 2^16, and 0.216 and 0.134 s in one 2^17
+# chunk (medians of 7).  nig16-price blocks ran about 7 % faster at 2^15
+# than at 2^14, for about 1 MB more peak RSS.
+_NORMAL_CHUNK = 2 ** 15
+
+
+def _cubic(spline, v, i, out=None) -> np.ndarray:
+    """Piece i of a scipy cubic spline at v, in s = v - spline.x[i], summed
+    in scipy's order, into out when given."""
+    c0, c1, c2, c3 = spline.c
+    s = v - spline.x[i]
+    s2 = s * s
+    r = c2[i] * s
+    r += c3[i]
+    r += c1[i] * s2
+    s2 *= s
+    return np.add(r, c0[i] * s2, out=out)
 
 
 def _spline_on_z_nodes(spline, y, out=None) -> np.ndarray:
     """spline(clip(y, -8, 8)), bit for bit, for a CubicHermiteSpline on
-    _Z_NODES, into out (C-contiguous, and may be y) when given.
+    _Z_NODES, into out (a C-contiguous array of y's shape, which may be y)
+    when given.
 
     scipy bisects for the interval z_i <= y < z_(i+1) of every value (the
     last one closed at 8).  On the uniform nodes i = floor((y + 8) 64).
     Each z_i + 8 = i / 64 is a double, so y + 8 never rounds below it and
     i is never too low; one comparison lowers i where y + 8 rounded up
-    onto the next node.  The cubic in s = y - z_i is summed in scipy's
-    order; NaN stays NaN.
+    onto the next node.  NaN stays NaN.
     """
     y = np.asarray(y, dtype=float)
-    out = np.empty(y.shape) if out is None else out
+    if out is None:
+        out = np.empty(y.shape)
+    elif out.shape != y.shape or not out.flags.c_contiguous:
+        raise ValueError("out must be a C-contiguous array of the input's shape")
     flat, res = y.ravel(), out.reshape(-1)
-    c0, c1, c2, c3 = spline.c
     lo, hi, last = _Z_NODES[0], _Z_NODES[-1], _Z_NODES.size - 2
     per_unit = (_Z_NODES.size - 1) / (hi - lo)
     for a in range(0, flat.size, _NORMAL_CHUNK):
-        v = np.clip(flat[a:a + _NORMAL_CHUNK], lo, hi)
+        v = np.maximum(flat[a:a + _NORMAL_CHUNK], lo)
+        np.minimum(v, hi, out=v)
         with np.errstate(invalid="ignore"):  # NaN casts to an arbitrary index
             i = ((v - lo) * per_unit).astype(np.intp)
-        np.clip(i, 0, last, out=i)
+        np.maximum(i, 0, out=i)
+        np.minimum(i, last, out=i)
         i -= v < _Z_NODES[i]
-        s = v - _Z_NODES[i]
-        s2 = s * s
-        r = c2[i] * s
-        r += c3[i]
-        r += c1[i] * s2
-        s2 *= s
-        np.add(r, c0[i] * s2, out=res[a:a + _NORMAL_CHUNK])
+        _cubic(spline, v, i, out=res[a:a + _NORMAL_CHUNK])
     return out
+
+
+def _spline_on_x_nodes(spline, x) -> np.ndarray:
+    """spline(clip(x, x_lo, x_hi)), bit for bit, for a CubicHermiteSpline
+    on the nodes x_lo < ... < x_hi, but -inf at and below x_lo and +inf at
+    and above x_hi.  Each value's interval is the last node at or below
+    it, as in scipy's bisection; NaN stays NaN."""
+    x = np.asarray(x, dtype=float)
+    knots = spline.x
+    v = np.minimum(np.maximum(x, knots[0]), knots[-1])
+    i = np.minimum(np.searchsorted(knots, v, side="right") - 1, knots.size - 2)
+    z = _cubic(spline, v, i)
+    return np.where(x <= knots[0], -np.inf, np.where(x >= knots[-1], np.inf, z))
 
 
 def _domain_half_width(alpha: float, beta: float, delta: float) -> float:
@@ -324,9 +353,11 @@ def nig_numerical_law(alpha: float, beta: float, mu: float, delta: float) -> Inc
     phi(z_k) / f(x_k), the normal map, and H(x) = Phi^-1(F(x)) with
     slopes f(x_k) / phi(z_k), the map to_normal; the law is the pair
     (G, H).  G clamps onto the outermost nodes, and H is -inf and +inf at
-    and past them, so the cdf Phi(H) is exactly 0 and 1 there.  G reads
-    its interval off the uniform nodes by index instead of scipy's
-    bisection, and equals scipy's spline bit for bit.
+    and past them, so the cdf Phi(H) is exactly 0 and 1 there.  scipy
+    only builds the two splines: G reads its interval off the uniform
+    nodes by index and H finds its interval with np.searchsorted, and
+    both equal scipy's spline bit for bit without its evaluation, which
+    holds the GIL.
     """
     from scipy import integrate, interpolate  # ~0.3 s to import; only NIG pays it
 
@@ -366,14 +397,8 @@ def nig_numerical_law(alpha: float, beta: float, mu: float, delta: float) -> Inc
     slope = np.exp(-0.5 * _Z_NODES ** 2) / np.sqrt(2.0 * np.pi) / density(x_nodes)  # phi / f
     to_x = interpolate.CubicHermiteSpline(_Z_NODES, x_nodes, slope)
     to_z = interpolate.CubicHermiteSpline(x_nodes, _Z_NODES, 1.0 / slope)
-    x_lo, x_hi = x_nodes[0], x_nodes[-1]
-
-    def to_normal(x):
-        x = np.asarray(x, dtype=float)
-        z = to_z(np.clip(x, x_lo, x_hi))
-        return np.where(x <= x_lo, -np.inf, np.where(x >= x_hi, np.inf, z))
-
-    law = IncrementLaw(normal=functools.partial(_spline_on_z_nodes, to_x), to_normal=to_normal)
+    law = IncrementLaw(normal=functools.partial(_spline_on_z_nodes, to_x),
+                       to_normal=functools.partial(_spline_on_x_nodes, to_z))
     check = np.linspace(1e-6, 1.0 - 1e-6, 10_000)
     err = float(np.abs(law.cdf(law.inv(check)) - check).max())
     if err > 1e-8:

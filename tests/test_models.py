@@ -23,7 +23,13 @@ from smoothqmc.models import (
     paths_exp_levy,
     paths_heston,
 )
-from smoothqmc.models import _Z_NODES, _domain_half_width, _spline_on_z_nodes
+from smoothqmc.models import (
+    _NORMAL_CHUNK,
+    _Z_NODES,
+    _domain_half_width,
+    _spline_on_x_nodes,
+    _spline_on_z_nodes,
+)
 from smoothqmc.points import ScrambleSeed, pseudo_uniform
 from smoothqmc.transforms import apply_transform, identity_transform, mqr_transform, taylor_weight
 
@@ -324,7 +330,8 @@ def test_spline_on_z_nodes_is_scipys_spline_bit_for_bit(kind):
     # scipy's bisecting evaluation of the same spline, clamped to [-8, 8]
     spline = _z_node_spline(kind)
     rng = np.random.default_rng(7)
-    block = 3.0 * rng.standard_normal((1231, 11))  # several chunks and a partial one
+    block = 3.0 * rng.standard_normal((3 * _NORMAL_CHUNK // 11 + 100, 11))
+    assert block.size > 3 * _NORMAL_CHUNK and block.size % _NORMAL_CHUNK  # and a partial one
     edges = np.array([-9.0, -8.0, 8.0, 9.0, -np.inf, np.inf, np.nan, 0.0])
     inputs = [block, _Z_NODES, np.nextafter(_Z_NODES, -np.inf), np.nextafter(_Z_NODES, np.inf),
               edges, np.asarray(0.3), np.asarray(np.nan), np.empty(0), np.empty((0, 16)),
@@ -336,6 +343,59 @@ def test_spline_on_z_nodes_is_scipys_spline_bit_for_bit(kind):
         assert not np.shares_memory(out, y)
         assert np.array_equal(out, spline(np.clip(y, -8.0, 8.0)), equal_nan=True)
         np.testing.assert_array_equal(y, kept)
+
+
+def test_nig_normal_writes_only_into_a_c_contiguous_out_of_the_input_shape():
+    # a copy made by reshaping out would be written and dropped, leaving
+    # out as it was
+    law = increment_law_for(NIG)
+    y = np.linspace(-3.0, 3.0, 15).reshape(5, 3)
+    for out in (np.zeros((5, 3), order="F"), np.zeros((5, 6))[:, ::2], np.zeros(15),
+                np.zeros((3, 5))):
+        with pytest.raises(ValueError, match="C-contiguous"):
+            law.normal(y, out=out)
+    out = np.zeros((5, 3))
+    assert law.normal(y, out=out) is out
+    np.testing.assert_array_equal(out, law.normal(y))
+
+
+@pytest.mark.parametrize("kind", ["nig16", "nig64", "edge-m1", "edge-m16"])
+def test_nig_to_normal_is_scipys_spline_bit_for_bit(kind):
+    # law.to_normal finds its interval with np.searchsorted; it must equal
+    # scipy's bisecting evaluation of the same spline, clamped to the end
+    # nodes, with -inf and +inf at and past them
+    spec = {"nig16": NIG, "nig64": dataclasses.replace(NIG, m=64),
+            "edge-m1": NIG_EDGE[0], "edge-m16": NIG_EDGE[1]}[kind]
+    law = increment_law_for(spec)
+    assert law.to_normal.func is _spline_on_x_nodes
+    spline = law.to_normal.args[0]
+    assert isinstance(spline, CubicHermiteSpline)
+    x_nodes = spline.x
+    x_lo, x_hi = x_nodes[0], x_nodes[-1]
+
+    def expected(x):
+        z = spline(np.clip(x, x_lo, x_hi))
+        return np.where(x <= x_lo, -np.inf, np.where(x >= x_hi, np.inf, z))
+
+    rng = np.random.default_rng(8)
+    block = law.normal(rng.uniform(-8.5, 8.5, (4099, 7))) + rng.normal(0.0, 1e-9, (4099, 7))
+    edges = np.array([x_lo, x_hi, np.nextafter(x_lo, -np.inf), np.nextafter(x_lo, np.inf),
+                      np.nextafter(x_hi, -np.inf), np.nextafter(x_hi, np.inf),
+                      x_lo - 1.0, x_hi + 1.0, -np.inf, np.inf, np.nan, 0.0])
+    inputs = [block, x_nodes, np.nextafter(x_nodes, -np.inf), np.nextafter(x_nodes, np.inf),
+              edges, np.asarray(0.0), np.asarray(np.nan), np.empty(0), np.empty((0, 16)),
+              np.asfortranarray(block), block[::3, 1::2], block[::-1]]
+    for x in inputs:
+        kept = x.copy()
+        z = law.to_normal(x)
+        assert z.shape == x.shape
+        assert np.array_equal(z, expected(x), equal_nan=True)
+        np.testing.assert_array_equal(x, kept)
+    assert law.to_normal(0.0) == expected(np.asarray(0.0))  # as factorization calls it
+    # the cdf Phi(H) is exactly 0 and 1 at and past the end nodes
+    ends = law.to_normal(edges[:10])
+    np.testing.assert_array_equal(np.isinf(ends), [1, 1, 1, 0, 0, 1, 1, 1, 1, 1])
+    np.testing.assert_array_equal(np.sign(ends), [-1, 1, -1, -1, 1, 1, -1, 1, -1, 1])
 
 
 def test_nig_sampling_matches_density():
